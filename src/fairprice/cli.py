@@ -20,7 +20,9 @@ dotted keys, overridden by command-line flags::
 
 Seed specs accept a count (``10`` means seeds 0..9), an inclusive range
 (``3-7``), or an explicit list (``0,2,5``).  The environment variable
-``FAIRPRICE_THREADS`` caps how many sweep cells run concurrently.
+``FAIRPRICE_THREADS`` (an integer >= 1; default 4) caps how many episode
+cells run concurrently; the cell count and the CPU count cap it too.  Errors
+(bad input, or an episode the agent cannot run) print one line and exit 2.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ from .fpa import (
     CONSTANT_MODES,
     DEFAULT_ERROR_PROB,
     DEFAULT_RELAXATION_L,
+    DegenerateDemandError,
     FpaAgent,
     FpaConfig,
+    ProtocolError,
 )
 from .oracle import closed_form_example_optimum, solve_fair_optimal
 from .sim import (
@@ -188,9 +192,14 @@ def _episode_cell(payload: dict) -> dict:
     market = market_from_text(payload["market_text"])
     horizon, seed = payload["horizon"], payload["seed"]
     agent = _make_agent(payload["agent"], market, horizon, seed)
-    trace = run_episode(agent, market, horizon, seed=seed,
-                        record_every=payload["record_every"],
-                        oracle_revenue=payload["oracle_revenue"])
+    try:
+        trace = run_episode(agent, market, horizon, seed=seed,
+                            record_every=payload["record_every"],
+                            oracle_revenue=payload["oracle_revenue"])
+    except (DegenerateDemandError, ProtocolError) as exc:
+        # A ValueError carries the message through a worker process and out
+        # of main() as one line.
+        raise ValueError(f"episode T={horizon} seed={seed}: {exc}") from exc
     out_dir = payload["out_dir"]
     tag = f"T{horizon}_seed{seed}"
     if out_dir is not None and payload["write_trace"]:
@@ -209,11 +218,31 @@ def _episode_cell(payload: dict) -> dict:
     }
 
 
+def worker_count(setting: Optional[str], cells: int, cpus: Optional[int]) -> int:
+    """Worker processes for ``cells`` episode cells.
+
+    ``setting`` is the value of ``FAIRPRICE_THREADS`` (unset or empty means
+    4); the count is capped by the number of cells and of CPUs.
+
+    Raises:
+        ValueError: when ``setting`` is not an integer >= 1.
+    """
+    wanted = 4
+    if setting:
+        try:
+            wanted = int(setting)
+        except ValueError:
+            wanted = 0
+        if wanted < 1:
+            raise ValueError(f"FAIRPRICE_THREADS must be an integer >= 1, got {setting!r}")
+    return max(1, min(wanted, cells, cpus or 1))
+
+
 def _run_cells(payloads: list[dict]) -> list[dict]:
     """Execute cells, concurrently when allowed, merging in submission order."""
-    workers = os.environ.get("FAIRPRICE_THREADS")
-    max_workers = int(workers) if workers else min(4, os.cpu_count() or 1)
-    if max_workers <= 1 or len(payloads) <= 1:
+    max_workers = worker_count(os.environ.get("FAIRPRICE_THREADS"), len(payloads),
+                               os.cpu_count())
+    if max_workers == 1:
         return [_episode_cell(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(_episode_cell, payloads))

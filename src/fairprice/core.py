@@ -17,6 +17,7 @@ group ``e`` who actually accept.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ SIMPLEX_TOL = 1e-12
 MONOTONE_TOL = 1e-12
 # Default floor on acceptance probabilities (keeps accepted means well defined).
 DEFAULT_F_MIN = 0.05
+# Blocks at least this long are drawn through numpy (see draw_block).
+BLOCK_DRAW_MIN = 2048
 
 
 class ZeroAcceptanceError(ValueError):
@@ -42,6 +45,31 @@ def stream_seed(seed: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def draw_block(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` values of ``rng.random()`` as a float64 array.
+
+    ``rng`` advances by exactly ``n`` draws, so blocks and single draws can
+    be interleaved on one stream.  CPython's ``random()`` and numpy's
+    MT19937 ``random()`` build a double from two 32-bit outputs the same way
+    (``(a >> 5) * 2**26 + (b >> 6)``, scaled by ``2**-53``), so copying the
+    generator state across gives bit-identical values.  Short blocks are
+    drawn one by one instead, because the state copy costs about as much as
+    a couple of thousand single draws.
+    """
+    if n < BLOCK_DRAW_MIN:
+        draw = rng.random
+        return np.array([draw() for _ in range(n)], dtype=float)
+    version, internal, gauss_next = rng.getstate()
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                            "pos": internal[-1]}}
+    out = np.random.Generator(bits).random(n)
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+    return out
 
 
 def _as_vector(values, name: str) -> np.ndarray:

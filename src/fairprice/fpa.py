@@ -33,7 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import AcceptanceModel, PolicyPair, PriceGrid, fixed_price_policy, stream_seed
+from .core import (
+    AcceptanceModel,
+    PolicyPair,
+    PriceGrid,
+    draw_block,
+    fixed_price_policy,
+    stream_seed,
+)
 from .oracle import (
     EliminationLedger,
     LedgerEntry,
@@ -167,7 +174,12 @@ def _policy_key(policy: PolicyPair) -> tuple:
 
 class FpaAgent:
     """Interactive agent: call :meth:`propose_price` with the arriving buyer's
-    group, then :meth:`observe` with the outcome, exactly once per round."""
+    group, then :meth:`observe` with the outcome, exactly once per round.
+
+    Or, for up to :meth:`batch_rounds` rounds at once, :meth:`propose_batch`
+    then :meth:`observe_batch`: the same schedule and the same draws of the
+    agent's stream, with numpy arrays in place of single rounds.  The two
+    protocols may alternate between rounds."""
 
     def __init__(self, cfg: FpaConfig, oracle_cfg: Optional[OracleConfig] = None):
         self.cfg = cfg
@@ -190,6 +202,7 @@ class FpaAgent:
         self._warm_arrivals = [0, 0]
         self._warm_accepts = [0, 0]
         self._pending: Optional[tuple[int, int]] = None
+        self._pending_batch: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._params: Optional[EpochParams] = None
         self._active: list[PolicyPair] = []
         self._cums: list[tuple[list[float], list[float]]] = []
@@ -209,7 +222,7 @@ class FpaAgent:
         """Grid index to post to the arriving buyer of ``group`` (1 or 2)."""
         if group not in (1, 2):
             raise ValueError("group must be 1 or 2")
-        if self._pending is not None:
+        if self._pending is not None or self._pending_batch is not None:
             raise ProtocolError("previous round still awaits observe()")
         if self.stage == "done":
             raise ProtocolError("horizon exhausted")
@@ -234,25 +247,79 @@ class FpaAgent:
         if self.stage == "warmup":
             self._warm_arrivals[group - 1] += 1
             self._warm_accepts[group - 1] += int(accepted)
-            if self.t >= self.cfg.horizon:
-                self.stage = "done"
-            elif self.t == self.tau0:
-                self._finish_warmup()
-            return
+        else:
+            self._m[group - 1, price_index] += 1
+            if accepted:
+                self._n[group - 1, price_index] += 1
+            self._batch_left -= 1
+            self._epoch_left -= 1
+        self._advance_schedule()
 
-        self._m[group - 1, price_index] += 1
-        if accepted:
-            self._n[group - 1, price_index] += 1
-        self._batch_left -= 1
-        self._epoch_left -= 1
-        if self._epoch_left == 0:
-            self._finalize_epoch()
-            if self.t >= self.cfg.horizon:
-                self.stage = "done"
-            else:
-                self._start_epoch(self.epoch + 1)
-        elif self._batch_left == 0:
-            self._advance_batch()
+    # ------------------------------------------------------------------
+    # batch protocol: the rounds one fixed policy governs, in one call each
+    # ------------------------------------------------------------------
+
+    def batch_rounds(self) -> int:
+        """Rounds the current policy still governs: the rest of the warmup or
+        of the current batch (0 once the horizon is exhausted).  Within them
+        the agent's choices depend on no single outcome."""
+        if self.stage == "warmup":
+            return self.tau0 - self.t
+        if self.stage == "epochs":
+            return self._batch_left
+        return 0
+
+    def propose_batch(self, groups: np.ndarray) -> np.ndarray:
+        """Grid indices for ``len(groups)`` consecutive arrivals, at most
+        :meth:`batch_rounds` of them.  Draws the agent's stream exactly as
+        that many :meth:`propose_price` calls would."""
+        if self._pending is not None or self._pending_batch is not None:
+            raise ProtocolError("previous round still awaits observe()")
+        if self.stage == "done":
+            raise ProtocolError("horizon exhausted")
+        groups = np.asarray(groups)
+        n = groups.size
+        if not 1 <= n <= self.batch_rounds():
+            raise ProtocolError(f"batch of {n} rounds; the current policy governs "
+                                f"{self.batch_rounds()}")
+        if not np.all((groups == 1) | (groups == 2)):
+            raise ValueError("group must be 1 or 2")
+        if self.stage == "warmup":
+            idx = np.full(n, self.d - 1)
+        else:
+            u = draw_block(self.rng, n)
+            cum1, cum2 = self._cums[self._batch_idx]
+            idx = np.where(groups == 1, np.searchsorted(cum1, u), np.searchsorted(cum2, u))
+            np.minimum(idx, self.d - 1, out=idx)  # the cum[-1] = 1.0 float edge
+        self._pending_batch = (groups, idx)
+        return idx
+
+    def observe_batch(self, groups: np.ndarray, idx: np.ndarray,
+                      accepted: np.ndarray) -> None:
+        """Record the outcomes of the pending batch and advance the schedule."""
+        if self._pending_batch is None:
+            raise ProtocolError("no batch pending")
+        pending_groups, pending_idx = self._pending_batch
+        if not (np.array_equal(groups, pending_groups) and np.array_equal(idx, pending_idx)):
+            raise ProtocolError("outcomes do not match the pending batch")
+        accepted = np.asarray(accepted, dtype=bool)
+        if accepted.shape != pending_idx.shape:
+            raise ProtocolError("one acceptance per proposed round is needed")
+        self._pending_batch = None
+        n = pending_idx.size
+        self.t += n
+        if self.stage == "warmup":
+            for g in (1, 2):
+                mine = pending_groups == g
+                self._warm_arrivals[g - 1] += int(np.count_nonzero(mine))
+                self._warm_accepts[g - 1] += int(np.count_nonzero(accepted & mine))
+        else:
+            cell = (pending_groups - 1) * self.d + pending_idx
+            self._m += np.bincount(cell, minlength=2 * self.d).reshape(2, self.d)
+            self._n += np.bincount(cell[accepted], minlength=2 * self.d).reshape(2, self.d)
+            self._batch_left -= n
+            self._epoch_left -= n
+        self._advance_schedule()
 
     def current_policy(self) -> PolicyPair:
         """The policy governing the next proposal."""
@@ -267,6 +334,23 @@ class FpaAgent:
     # ------------------------------------------------------------------
     # schedule transitions
     # ------------------------------------------------------------------
+
+    def _advance_schedule(self) -> None:
+        """The transition due after the rounds just observed: warmup end,
+        epoch end (elimination, then the next epoch's probes) or next batch."""
+        if self.stage == "warmup":
+            if self.t >= self.cfg.horizon:
+                self.stage = "done"
+            elif self.t == self.tau0:
+                self._finish_warmup()
+        elif self._epoch_left == 0:
+            self._finalize_epoch()
+            if self.t >= self.cfg.horizon:
+                self.stage = "done"
+            else:
+                self._start_epoch(self.epoch + 1)
+        elif self._batch_left == 0:
+            self._advance_batch()
 
     def _finish_warmup(self) -> None:
         rates = []

@@ -23,8 +23,8 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 # Capacity guards; everything in this package is low-dimensional by design.
 MAX_SOLVE_N = 64
-MAX_LP_VARS = 8
-MAX_LP_ROWS = 24
+MAX_LP_VARS = 16
+MAX_LP_ROWS = 48
 _MAX_PIVOTS = 20000
 
 OPTIMAL = "optimal"

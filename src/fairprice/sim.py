@@ -28,6 +28,7 @@ from .core import (
     PolicyPair,
     PriceGrid,
     best_fixed_price,
+    draw_block,
     expected_revenue,
     fixed_price_policy,
     procedural_gap,
@@ -37,6 +38,9 @@ from .core import (
 from .oracle import solve_fair_optimal
 
 BASELINE_KINDS = ("best_fixed", "ucb_fixed", "fair_oracle", "group_oracle")
+# Longest block of rounds the batched engine plays at once; bounds its arrays
+# (about a dozen arrays of this length).
+MAX_BLOCK_ROUNDS = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,12 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
                 epoch_hook: Optional[Callable] = None) -> RunTrace:
     """Run one agent against one market for ``horizon`` rounds.
 
+    An agent with the batch protocol (``batch_rounds``, ``propose_batch``,
+    ``observe_batch``; :class:`~fairprice.fpa.FpaAgent`) is played a block of
+    rounds at a time with numpy; any other agent one round at a time.  Both
+    paths draw every random stream in the same order and add the running
+    totals in the same order, so they produce the same bytes.
+
     Args:
         agent: anything with propose_price(group) -> index,
             observe(group, index, accepted), and current_policy() -> PolicyPair.
@@ -197,33 +207,54 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
         raise ValueError("horizon must be >= 1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    if oracle_revenue is None:
+        oracle_revenue = solve_fair_optimal(market).revenue
+    trace = RunTrace(horizon=horizon, seed=seed, oracle_revenue=oracle_revenue)
+    streams = (random.Random(stream_seed(seed, "env-groups")),
+               random.Random(stream_seed(seed, "env-values")))
+    if callable(getattr(agent, "propose_batch", None)):
+        _play_blocks(agent, market, trace, record_every, streams, epoch_hook)
+    else:
+        _play_rounds(agent, market, trace, record_every, streams, epoch_hook)
+    meta = getattr(agent, "meta", None)
+    trace.agent_meta = meta() if callable(meta) else {}
+    return trace
+
+
+def _policy_costs(market: MarketConfig, oracle_revenue: float) -> Callable:
+    """Per-round (regret, S, U) of a policy, cached by object identity (the
+    cache keeps a reference to each policy, so an id is never reused)."""
+    cache: dict[int, tuple] = {}
+
+    def costs(policy: PolicyPair) -> tuple[float, float, float]:
+        hit = cache.get(id(policy))
+        if hit is None:
+            hit = (policy,
+                   oracle_revenue - expected_revenue(market, policy),
+                   substantive_gap(market, policy),
+                   procedural_gap(market.grid, policy))
+            cache[id(policy)] = hit
+        return hit[1:]
+
+    return costs
+
+
+def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int,
+                 streams: tuple, epoch_hook: Optional[Callable]) -> None:
+    """The reference loop: one Python round at a time, for any agent."""
+    horizon = trace.horizon
     v = market.grid.prices
     curves = (market.accept.group1, market.accept.group2)
     q = market.q
-    if oracle_revenue is None:
-        oracle_revenue = solve_fair_optimal(market).revenue
-
-    group_rng = random.Random(stream_seed(seed, "env-groups"))
-    value_rng = random.Random(stream_seed(seed, "env-values"))
-
-    trace = RunTrace(horizon=horizon, seed=seed, oracle_revenue=oracle_revenue)
-    cache: dict[int, tuple] = {}  # id -> (policy ref, regret, s, u); refs pin ids
+    group_rng, value_rng = streams
+    costs = _policy_costs(market, trace.oracle_revenue)
     ledger = getattr(agent, "ledger", None)
     ledger_len = len(ledger) if ledger is not None else 0
 
     for t in range(1, horizon + 1):
         group = 1 if group_rng.random() < q else 2
         idx = agent.propose_price(group)
-        policy = agent.current_policy()
-        key = id(policy)
-        hit = cache.get(key)
-        if hit is None:
-            hit = (policy,
-                   oracle_revenue - expected_revenue(market, policy),
-                   substantive_gap(market, policy),
-                   procedural_gap(market.grid, policy))
-            cache[key] = hit
-        _, inst_regret, inst_s, inst_u = hit
+        inst_regret, inst_s, inst_u = costs(agent.current_policy())
         epoch = getattr(agent, "epoch", 0)
 
         accepted = value_rng.random() < curves[group - 1][idx]
@@ -245,9 +276,62 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
             if epoch_hook is not None:
                 epoch_hook(agent, t)
 
-    meta = getattr(agent, "meta", None)
-    trace.agent_meta = meta() if callable(meta) else {}
-    return trace
+
+def _running(start: float, steps, n: int) -> np.ndarray:
+    """``start`` followed by its running totals over ``n`` steps (an array,
+    or one value repeated), added one at a time left to right as
+    ``total += step`` does, so the totals are bit-identical to that loop's."""
+    out = np.empty(n + 1)
+    out[0] = start
+    out[1:] = steps
+    return np.add.accumulate(out)
+
+
+def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int,
+                 streams: tuple, epoch_hook: Optional[Callable]) -> None:
+    """Blocks of rounds under one fixed policy, as whole arrays: each block
+    is at most the agent's ``batch_rounds()`` and ``MAX_BLOCK_ROUNDS``."""
+    horizon = trace.horizon
+    v = market.grid.prices
+    curves = np.stack([market.accept.group1, market.accept.group2])
+    group_rng, value_rng = streams
+    costs = _policy_costs(market, trace.oracle_revenue)
+    ledger = getattr(agent, "ledger", None)
+    ledger_len = len(ledger) if ledger is not None else 0
+
+    t = 0
+    while t < horizon:
+        n = min(agent.batch_rounds(), horizon - t, MAX_BLOCK_ROUNDS)
+        groups = np.where(draw_block(group_rng, n) < market.q, 1, 2)
+        idx = agent.propose_batch(groups)
+        inst_regret, inst_s, inst_u = costs(agent.current_policy())
+        epoch = getattr(agent, "epoch", 0)
+
+        accepted = draw_block(value_rng, n) < curves[groups - 1, idx]
+        reward = np.where(accepted, v[idx], 0.0)
+        agent.observe_batch(groups, idx, accepted)
+
+        cums = [_running(total, step, n) for total, step in (
+            (trace.cum_regret, inst_regret), (trace.cum_s, inst_s),
+            (trace.cum_u, inst_u), (trace.cum_reward, reward))]
+        trace.cum_regret, trace.cum_s, trace.cum_u, trace.cum_reward = (
+            float(c[-1]) for c in cums)
+        if inst_u > trace.max_inst_u:
+            trace.max_inst_u = inst_u
+        rounds = np.arange(t + 1, t + n + 1)
+        keep = np.flatnonzero((rounds % record_every == 0) | (rounds == 1)
+                              | (rounds == horizon))
+        if keep.size:
+            columns = [a[keep].tolist() for a in (rounds, groups, idx, accepted, reward)]
+            columns += [c[keep + 1].tolist() for c in cums]
+            trace.records.extend(
+                RoundRecord(r, g, i, a, w, inst_regret, inst_s, inst_u, cr, cs, cu, cw, epoch)
+                for r, g, i, a, w, cr, cs, cu, cw in zip(*columns))
+        t += n
+        if ledger is not None and len(ledger) != ledger_len:
+            ledger_len = len(ledger)
+            if epoch_hook is not None:
+                epoch_hook(agent, t)
 
 
 # ---------------------------------------------------------------------------

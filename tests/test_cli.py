@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from fairprice import market_to_text
-from fairprice.cli import main, parse_horizons, parse_seed_spec
-from fairprice.sim import example_eps_market
+from fairprice import MarketConfig, market_to_text
+from fairprice.cli import main, parse_horizons, parse_seed_spec, worker_count
+from fairprice.sim import example1_market, example_eps_market
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,24 @@ def test_horizon_specs():
     assert parse_horizons("1000,2000") == [1000, 2000]
     with pytest.raises(ValueError):
         parse_horizons("1000,-5")
+
+
+def test_worker_count_is_validated_and_capped():
+    assert worker_count(None, 30, 8) == 4        # default
+    assert worker_count("", 30, 8) == 4          # empty counts as unset
+    assert worker_count("6", 30, 8) == 6
+    assert worker_count("64", 30, 8) == 8        # capped by the CPUs
+    assert worker_count("64", 3, 8) == 3         # and by the cells
+    assert worker_count("2", 1, None) == 1
+    for bad in ("0", "-2", "two", "1.5"):
+        with pytest.raises(ValueError, match="FAIRPRICE_THREADS"):
+            worker_count(bad, 30, 8)
+
+
+def test_bad_worker_setting_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FAIRPRICE_THREADS", "0")
+    assert main(["run", "--preset", "example1", "-T", "100"]) == 2
+    assert "FAIRPRICE_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +142,28 @@ def test_run_with_baseline_agent(tmp_path):
     rate = merged["oracle_revenue"] - 0.5
     assert cell["cum_regret"] == pytest.approx(700 * rate, abs=1e-9)
     assert cell["cum_u"] == 0.0
+
+
+def _rare_group_market(path):
+    """The worked example with q = 0.002: a short warmup sees no group-1
+    buyer, so the agent cannot start."""
+    base = example1_market()
+    path.write_text(market_to_text(MarketConfig(base.grid, base.accept, q=0.002)))
+    return str(path)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_agent_errors_are_one_line(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("FAIRPRICE_THREADS", threads)  # "2": from a worker process
+    market = _rare_group_market(tmp_path / "rare.txt")
+    assert main(["run", "--market", market, "-T", "2000", "--seeds", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: episode T=2000 seed=0: group 1 saw 0 arrivals")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert main(["sweep", "--market", market, "--horizons", "2000,3000,4000",
+                 "--seeds", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: episode T=2000 seed=0:") and err.count("\n") == 1
 
 
 def test_run_usage_errors(tmp_path, capsys):

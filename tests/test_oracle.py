@@ -11,6 +11,7 @@ from fairprice import (
     PolicyPair,
     PriceGrid,
     alpha_bounds,
+    best_fixed_price,
     closed_form_example_optimum,
     empirical_optimizer,
     eps_family_policy,
@@ -21,9 +22,11 @@ from fairprice import (
     max_probability_policy,
     member,
     procedural_gap,
+    solve_fair_optimal,
     solve_relaxed_optimal,
     substantive_gap,
 )
+from fairprice import oracle
 from fairprice.oracle import ParamPoint
 from fairprice.validation import brute_force_fair_optimal
 
@@ -135,6 +138,46 @@ def test_relaxed_solver_is_monotone_in_the_band(example_market, example_solution
     assert revenues[2] == pytest.approx(0.5119214488360185, abs=1e-9)
     with pytest.raises(ValueError):
         solve_relaxed_optimal(example_market, -0.01)
+
+
+def test_blocked_scan_finds_the_whole_scans_cell(monkeypatch, example_market):
+    """The d = 3 scan runs over blocks of v_s rows (three at the default
+    resolution); merging the blocks must pick the cell one scan over all
+    rows picks, bit for bit."""
+    ledger = _ledger_with(example_market, 0.02, 0.5)
+
+    def solves():
+        return [solve_fair_optimal(example_market),
+                solve_relaxed_optimal(example_market, 0.02),
+                empirical_optimizer(example_market.accept, ledger, 0.01)]
+
+    blocked = solves()
+    monkeypatch.setattr(oracle, "_SCAN_BLOCK_CELLS", 10**9)
+    for got, want in zip(blocked, solves()):
+        assert got.point == want.point
+        for g in (1, 2):
+            assert got.policy.weights(g).tolist() == want.policy.weights(g).tolist()
+
+
+def _random_market(rng, d):
+    while True:
+        prices = np.sort(rng.uniform(0.2, 1.0, d))
+        if np.all(np.diff(prices) >= 0.04):
+            break
+    curves = [np.sort(rng.uniform(0.15, 0.95, d))[::-1] for _ in (1, 2)]
+    return MarketConfig(PriceGrid(prices), AcceptanceModel(*curves),
+                        q=float(rng.uniform(0.2, 0.8)))
+
+
+@pytest.mark.parametrize("d", [5, 8])
+def test_general_solver_handles_wide_grids(d):
+    """The general-d search's LPs take 2d variables; d <= 8 must fit."""
+    market = _random_market(np.random.default_rng(d), d)
+    sol = solve_fair_optimal(market)
+    assert procedural_gap(market.grid, sol.policy) <= 1e-9
+    assert substantive_gap(market, sol.policy) <= 1e-9
+    assert sol.revenue >= best_fixed_price(market)[1] - 1e-12
+    assert sol.revenue == pytest.approx(expected_revenue(market, sol.policy), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
