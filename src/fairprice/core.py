@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,11 @@ SIMPLEX_TOL = 1e-12
 MONOTONE_TOL = 1e-12
 # Default floor on acceptance probabilities (keeps accepted means well defined).
 DEFAULT_F_MIN = 0.05
-# Blocks at least this long are drawn through numpy (see draw_block).
-BLOCK_DRAW_MIN = 2048
+# draw_block's generator, built once and re-stated on every call; the lock
+# keeps the state copy, the draws and the copy back together.
+_BLOCK_BITS = np.random.MT19937(0)
+_BLOCK_GEN = np.random.Generator(_BLOCK_BITS)
+_BLOCK_LOCK = threading.Lock()
 
 
 class ZeroAcceptanceError(ValueError):
@@ -54,20 +58,15 @@ def draw_block(rng: random.Random, n: int) -> np.ndarray:
     be interleaved on one stream.  CPython's ``random()`` and numpy's
     MT19937 ``random()`` build a double from two 32-bit outputs the same way
     (``(a >> 5) * 2**26 + (b >> 6)``, scaled by ``2**-53``), so copying the
-    generator state across gives bit-identical values.  Short blocks are
-    drawn one by one instead, because the state copy costs about as much as
-    a couple of thousand single draws.
+    generator state across gives bit-identical values.
     """
-    if n < BLOCK_DRAW_MIN:
-        draw = rng.random
-        return np.array([draw() for _ in range(n)], dtype=float)
     version, internal, gauss_next = rng.getstate()
-    bits = np.random.MT19937()
-    bits.state = {"bit_generator": "MT19937",
-                  "state": {"key": np.array(internal[:-1], dtype=np.uint32),
-                            "pos": internal[-1]}}
-    out = np.random.Generator(bits).random(n)
-    state = bits.state["state"]
+    with _BLOCK_LOCK:
+        _BLOCK_BITS.state = {"bit_generator": "MT19937",
+                             "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                                       "pos": internal[-1]}}
+        out = _BLOCK_GEN.random(n)
+        state = _BLOCK_BITS.state["state"]
     rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
     return out
 

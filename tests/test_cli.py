@@ -155,6 +155,7 @@ def _rare_group_market(path):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_agent_errors_are_one_line(tmp_path, capsys, monkeypatch, threads):
     monkeypatch.setenv("FAIRPRICE_THREADS", threads)  # "2": from a worker process
+    monkeypatch.setattr("fairprice.cli.os.cpu_count", lambda: 2)  # even on one CPU
     market = _rare_group_market(tmp_path / "rare.txt")
     assert main(["run", "--market", market, "-T", "2000", "--seeds", "2"]) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-import fairprice.core
 import fairprice.sim
 from fairprice import (
     AcceptanceModel,
@@ -20,7 +19,7 @@ from fairprice import (
     write_summary_json,
     write_trace_csv,
 )
-from fairprice.core import BLOCK_DRAW_MIN, draw_block
+from fairprice.core import draw_block
 from fairprice.fpa import ProtocolError, warmup_length
 
 R_STAR = 74.0 / 145.0
@@ -35,7 +34,7 @@ COARSE = OracleConfig(grid_steps_vs=40, grid_steps_alpha=10, refine_iters=1)
 
 @pytest.mark.parametrize("seed", [0, 3, 2**62 + 5])
 def test_block_draws_equal_single_draws(seed):
-    sizes = [0, 1, 5, BLOCK_DRAW_MIN - 1, BLOCK_DRAW_MIN, 3, 50_000, 1, BLOCK_DRAW_MIN + 7]
+    sizes = [0, 1, 5, 311, 312, 313, 3, 50_000, 1, 2055]  # 312 doubles per MT twist
     reference = random.Random(seed)
     blocks = random.Random(seed)
     for k, n in enumerate(sizes):
@@ -176,12 +175,8 @@ def _assert_same_bytes(tmp_path, horizon, record_every, agent_horizon=None, seed
 
 
 @pytest.mark.parametrize("record_every", [1, 7, 10**9])
-@pytest.mark.parametrize("draw_min", ["default", 1])
 @pytest.mark.parametrize("horizon", [40, 60, 10_000])
-def test_engine_writes_the_loops_bytes(tmp_path, monkeypatch, horizon, record_every,
-                                       draw_min):
-    if draw_min != "default":  # every block through numpy, however short
-        monkeypatch.setattr(fairprice.core, "BLOCK_DRAW_MIN", draw_min)
+def test_engine_writes_the_loops_bytes(tmp_path, horizon, record_every):
     agent, hooks = _assert_same_bytes(tmp_path, horizon, record_every)
     tau0 = warmup_length(agent.cfg)
     if horizon == 40:
@@ -194,7 +189,6 @@ def test_engine_writes_the_loops_bytes(tmp_path, monkeypatch, horizon, record_ev
 
 def test_engine_cuts_long_batches_into_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", 50)
-    monkeypatch.setattr(fairprice.core, "BLOCK_DRAW_MIN", 16)
     _assert_same_bytes(tmp_path, 5000, 7, seed=2)
 
 
