@@ -1,9 +1,10 @@
 """What does fairness cost in the worked three-price market?
 
-Solves the built-in example exactly and with the grid scan, then lines the
-doubly-fair optimum up against the two natural unfair benchmarks: the best
-single posted price (group-blind, so fair by construction but weaker) and
-the groupwise-optimal prices (revenue ceiling, but both fairness gaps open).
+Solves the built-in example in closed form and with the exact solver, then
+lines the doubly-fair optimum up against the two natural unfair benchmarks:
+the best single posted price (group-blind, so fair by construction but
+weaker) and the groupwise-optimal prices (revenue ceiling, but both fairness
+gaps open).
 """
 
 import numpy as np
@@ -35,17 +36,17 @@ def main():
     print("  group-1 acceptance", market.accept.group1)
     print("  group-2 acceptance", market.accept.group2)
 
-    print("\nClosed form vs grid scan")
+    print("\nClosed form vs exact solver")
     closed = closed_form_example_optimum()
-    scan = solve_fair_optimal(market)
+    solved = solve_fair_optimal(market)
     print(f"  closed-form revenue  {closed.revenue:.12f}")
-    print(f"  scanned revenue      {scan.revenue:.12f}")
-    print(f"  |gap|                {abs(closed.revenue - scan.revenue):.2e}")
+    print(f"  solver revenue       {solved.revenue:.12f}")
+    print(f"  |gap|                {abs(closed.revenue - solved.revenue):.2e}")
     print(f"  accepted-mean anchor {closed.v_s:.6f}  premium {closed.alpha:.6f}")
     for g in (1, 2):
         print(f"  group-{g} weights      closed",
               np.array2string(closed.policy.weights(g), precision=4),
-              " scan", np.array2string(scan.policy.weights(g), precision=4))
+              " solver", np.array2string(solved.policy.weights(g), precision=4))
 
     print("\nBenchmarks")
     fair = describe("doubly-fair optimum", market, closed.policy)

@@ -67,9 +67,9 @@ DEFAULT_RELAXATION_L = 0.2
 # small-horizon exploration collapses onto fixed prices for B_R >= 0.6).
 SCALED_RADIUS_REVENUE = 0.5
 SCALED_RADIUS_FAIRNESS = 0.4
-# Scan resolution used for the agent's internal searches; the standalone
-# oracle default is finer, but inside the loop this is accurate well past the
-# radii that drive elimination.
+# Resolution of the d = 3 ledger scan in the agent's searches (the others are
+# exact); the oracle default is finer, but inside the loop this is accurate
+# well past the radii that drive elimination.
 AGENT_ORACLE_CFG = OracleConfig(grid_steps_vs=500, grid_steps_alpha=120, refine_iters=2)
 
 CONSTANT_MODES = ("scaled", "theory")

@@ -1,27 +1,25 @@
 """Search for revenue-optimal fair pricing policies.
 
 Every policy considered here posts the same mean price to both groups
-(procedural parity, U = 0).  The search runs over a two-parameter family:
+(procedural parity, U = 0).  Once the accepted mean ``v_s`` of group 1 is
+fixed, the fair problem is one LP over ``(pi1, pi2)``: both sum to one,
+their proposed means are equal (the premium ``alpha`` of the shared mean
+``v_r = v_s + alpha`` is free), group 1's accepted mean is ``v_s``, and
+group 2's is pinned to it (S = 0) or held in the linearized band
+``|v'F2 pi2 - v_s * 1'F2 pi2| <= delta * 1'F2 pi2``.  The exact search
+solves that LP on a fixed grid of anchors and polishes the best ones inside
+their LP basis, where the value is a ratio of polynomials in ``v_s``
+(Gass-Saaty parametric LP): its best ``v_s`` is a breakpoint or a
+stationary point, and the LP is re-solved there.
 
-* ``v_s``    — the accepted mean anchored on group 1,
-* ``alpha``  — the premium of the shared proposed mean over it,
-
-so the shared proposed mean is ``v_r = v_s + alpha``.  Nonincreasing
-acceptance curves keep ``alpha`` nonnegative (discounting by acceptance can
-only pull the accepted mean down), but estimated curves need not be monotone,
-so the scan extends to negative premiums whenever its anchor curve inverts
-somewhere.  For a given
-``(v_s, alpha)`` the group-1 weights solve the 3x3 system
-``{sum pi = 1, v'pi = v_r, (v - v_s)'F1 pi = 0}``; group 2 either pins its
-accepted mean to ``v_s`` exactly (strict parity, S = 0) or floats inside the
-linearized band ``|v'F2 pi - v_s * 1'F2 pi| <= delta * 1'F2 pi``.  On a
-three-price grid those solutions are closed-form (batched adjugate solves), so
-a dense grid over ``(v_s, alpha)`` plus windowed refinement is both fast and
-accurate; for other grid sizes each cell is a small simplex LP instead.
-
-Elimination state from a learning run is a ledger of per-epoch snapshots;
-candidate policies are screened against every snapshot (fairness band and
-revenue floor) before they can win a search.
+Candidates are screened against every snapshot of an elimination ledger
+(fairness band and revenue floor).  Floors are LP rows.  Bands compare
+accepted means under each snapshot's own estimates, not linear in
+``(pi1, pi2)`` jointly: on three prices, a dense ``(v_s, alpha)`` scan of
+closed-form solutions folds them exactly (fixing pi1 per cell makes them
+linear in pi2); on other grids each anchor's LP optimum is post-filtered,
+so an anchor is lost when its optimum fails an older band even if another
+policy there would pass.  That is the approximation that remains.
 """
 
 from __future__ import annotations
@@ -50,29 +48,24 @@ TIE_TOL = 1e-9
 # Grid cells kept on each side of an argmax when a scan window shrinks.
 _REFINE_WINDOW = 12
 _REFINE_STEPS = 241
-# Cells the d = 3 full scan takes at once, in whole v_s rows.  Its
-# temporaries take about 140 bytes per cell, so the default 2000 x 400 scan
-# runs in three blocks, and a solve's peak RSS is about 90 MB instead of 146;
-# the agent's 500 x 120 scans stay one block.  Smaller blocks would save more
-# memory but cost time.  glibc's malloc keeps freed heap for reuse only up to
-# twice the largest array freed so far.  After a solve with small blocks, the
-# heap goes back to the system after each of the agent's searches, and the
-# next search page-faults it in again.  Measured after a default solve, on
-# the searches of a T = 1e6 ledger: 56k extra minor faults and 25% slower
-# probes at 262,144 cells, none at this budget.
-_SCAN_BLOCK_CELLS = 393_216
+# The exact search solves the anchor LP at this many evenly spaced v_s (plus
+# the grid prices), then polishes the bases of the best few local maxima.
+_SEED_STEPS = 200
+_POLISH_SEEDS = 3
+# Revenue's weight in the anchor LP, so ties on a probe's weight go to revenue
+# as in _select_best; it can cost the objective at most 1e-7.
+_REVENUE_TIE = 1e-7
 _DET_TOL = 1e-13
 _NONNEG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution knobs for the (v_s, alpha) scan."""
+    """Resolution of the d = 3 scan under a ledger; the exact search has none."""
 
     grid_steps_vs: int = 2000
     grid_steps_alpha: int = 400
     refine_iters: int = 3
-    tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.grid_steps_vs < 2 or self.grid_steps_alpha < 2:
@@ -178,17 +171,18 @@ class EliminationLedger:
 # membership
 # ---------------------------------------------------------------------------
 
-def _member_mask(v: np.ndarray, q: float, entries: Sequence[LedgerEntry],
-                 pi1: np.ndarray, pi2: np.ndarray) -> np.ndarray:
-    """Vectorized ledger screen for stacked policies pi1, pi2 of shape (N, d)."""
-    ok = np.ones(pi1.shape[0], dtype=bool)
+def _member_mask(v: np.ndarray, q: float, entries: Sequence[LedgerEntry], dot1, dot2):
+    """Ledger screen of policies given by their products, dot1(u) = pi1 @ u
+    and dot2(u) = pi2 @ u, elementwise over whatever stack they return."""
+    ok = True
     for entry in entries:
         f1, f2 = entry.fhat.group1, entry.fhat.group2
-        num1, den1 = pi1 @ (v * f1), pi1 @ f1
-        num2, den2 = pi2 @ (v * f2), pi2 @ f2
-        gap = np.abs(num1 / den1 - num2 / den2)
-        revenue = q * num1 + (1.0 - q) * num2
-        ok &= (gap <= entry.delta_s + MEMBER_TOL) & (revenue >= entry.revenue_floor - MEMBER_TOL)
+        num1, num2 = dot1(v * f1), dot2(v * f2)
+        gap = num1 / dot1(f1)
+        gap -= num2 / dot2(f2)
+        num1 *= q  # now the revenue
+        num1 += (1.0 - q) * num2
+        ok = ok & (np.abs(gap) <= entry.delta_s + MEMBER_TOL) & (num1 >= entry.revenue_floor - MEMBER_TOL)
     return ok
 
 
@@ -197,21 +191,18 @@ def member(policy: PolicyPair, ledger: EliminationLedger) -> bool:
     fairness band and revenue floor of every ledger snapshot."""
     v = ledger.grid.prices
     w1, w2 = policy.group1.weights, policy.group2.weights
-    if abs(float(v @ w1 - v @ w2)) > MEMBER_TOL:
-        return False
-    return bool(_member_mask(v, ledger.q, ledger.entries, w1[None, :], w2[None, :])[0])
+    return (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL
+            and bool(_member_mask(v, ledger.q, ledger.entries, w1.dot, w2.dot)))
 
 
 # ---------------------------------------------------------------------------
-# batched 3x3 machinery (d == 3 fast path)
+# the d = 3 ledger scan
 # ---------------------------------------------------------------------------
 
 def _adjugate_cols(v: np.ndarray, z: np.ndarray):
     """For M = [[1,1,1], v, z_row] return the first two adjugate columns and
-    the determinant, elementwise over stacked z rows of shape (..., 3).
-
-    The solution of M x = [1, r, 0] is then x = (p + r*s) / det.
-    """
+    the determinant, elementwise over stacked z rows of shape (..., 3): the
+    solution of M x = [1, r, 0] is then x = (p + r*s) / det."""
     v1, v2, v3 = float(v[0]), float(v[1]), float(v[2])
     z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
     p = np.stack([v2 * z3 - v3 * z2, v3 * z1 - v1 * z3, v1 * z2 - v2 * z1], axis=-1)
@@ -221,92 +212,97 @@ def _adjugate_cols(v: np.ndarray, z: np.ndarray):
 
 
 def _pin_group(v: np.ndarray, f: np.ndarray, vs_vals: np.ndarray, vr: np.ndarray):
-    """Group weights with accepted mean pinned to each vs and proposed mean vr.
+    """Group weights with accepted mean pinned to each vs, affine in the
+    proposed mean vr: pi = a + vr * b with rows a, b of shape (nvs, 3).
+    Returns (a, b, feasible); singular rows are nan and never feasible."""
+    p, s, det = _adjugate_cols(v, (v[None, :] - vs_vals[:, None]) * f[None, :])
+    det = np.where(np.abs(det) > _DET_TOL, det, np.nan)[:, None]
+    a, b = p / det, s / det
+    feas = np.ones(vr.shape, dtype=bool)
+    for e_k in np.eye(3):
+        feas &= _affine_dot(a, b, vr)(e_k) >= -_NONNEG_TOL
+    return a, b, feas
 
-    Returns (pi, feasible) with pi of shape (nvs, na, 3); infeasible cells
-    (singular system or negative weights) are flagged, not raised.
-    """
-    z = (v[None, :] - vs_vals[:, None]) * f[None, :]
-    p, s, det = _adjugate_cols(v, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pi = (p[:, None, :] + vr[:, :, None] * s[:, None, :]) / det[:, None, None]
-    ok = np.abs(det)[:, None] > _DET_TOL
-    feas = ok & np.all(pi >= -_NONNEG_TOL, axis=-1) & np.all(np.isfinite(pi), axis=-1)
-    return pi, feas
+
+def _affine_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, t=None, n_dir=None):
+    """u -> (a + vr * b + t * n_dir) @ u over the (vs, alpha) grid, built
+    from products with whole rows instead of a per-cell weight array."""
+    def dot(u):
+        out = vr * (b @ u)[:, None]
+        out += (a @ u)[:, None]
+        if t is not None:
+            out += t * float(n_dir @ u)
+        return out
+    return dot
 
 
 def _tighten(a, b, t_lo, t_hi, feas):
-    """Impose a + t*b <= 0 elementwise on the interval [t_lo, t_hi]."""
+    """Impose a + t*b <= 0 elementwise on the interval [t_lo, t_hi].  Works in
+    place and uses a up: the scan's arrays are large, and every fresh one
+    can page-fault in again once the allocator has trimmed the heap."""
     b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
+    up, down = b > _DET_TOL, b < -_DET_TOL
+    feas &= up | down | (a <= _NONNEG_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cand = -a / b
-    t_hi = np.where(b > _DET_TOL, np.fmin(t_hi, cand), t_hi)
-    t_lo = np.where(b < -_DET_TOL, np.fmax(t_lo, cand), t_lo)
-    feas = feas & np.where(np.abs(b) <= _DET_TOL, a <= _NONNEG_TOL, True)
+        cand = np.divide(a, b, out=a)
+    np.negative(cand, out=cand)
+    np.fmin(t_hi, cand, out=t_hi, where=up)
+    np.fmax(t_lo, cand, out=t_lo, where=down)
     return t_lo, t_hi, feas
 
 
 def _float_group(v: np.ndarray, f: np.ndarray, vs_vals: np.ndarray, vr: np.ndarray,
                  delta: float):
-    """Group-2 solutions under the relaxation band, parametrized as a segment
-    pi(t) = pi_base(vr) + t * n along the common null direction n of the sum
-    and proposed-mean rows.
-
-    Returns (pi_base, n_dir, t_lo, t_hi, feasible).
-    """
+    """Group-2 solutions under the relaxation band, as segments pi(t) =
+    a + vr * b + t * n_dir along the common null direction of the sum and
+    proposed-mean rows; returns (a, b, n_dir, t_lo, t_hi, feasible)."""
     n_dir = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
-    p, s, det = _adjugate_cols(v, n_dir[None, :])
-    c0, c1 = p[0] / det[0], s[0] / det[0]  # det = |n|^2 > 0 for a strict grid
-    pi_base = c0[None, None, :] + vr[:, :, None] * c1[None, None, :]
-
-    nvs, na = vr.shape
-    t_lo = np.full((nvs, na), -np.inf)
-    t_hi = np.full((nvs, na), np.inf)
-    feas = np.ones((nvs, na), dtype=bool)
-    for i in range(3):  # weights stay nonnegative along the segment
-        t_lo, t_hi, feas = _tighten(-pi_base[..., i], -n_dir[i], t_lo, t_hi, feas)
+    p, s, det = _adjugate_cols(v, n_dir)  # det = |n|^2 > 0 for a strict grid
+    a, b = (np.broadcast_to(m / det, (vs_vals.size, 3)) for m in (p, s))
+    t_lo, t_hi = np.full(vr.shape, -np.inf), np.full(vr.shape, np.inf)
+    feas = np.ones(vr.shape, dtype=bool)
+    for i, e_i in enumerate(np.eye(3)):  # weights stay nonnegative along the segment
+        t_lo, t_hi, feas = _tighten(_affine_dot(a, b, vr)(-e_i), -n_dir[i], t_lo, t_hi, feas)
     band = (v[None, :] - vs_vals[:, None]) * f[None, :]
     for w in (band - delta * f[None, :], -(band + delta * f[None, :])):
-        a = np.einsum("vi,vai->va", w, pi_base)
-        t_lo, t_hi, feas = _tighten(a, (w @ n_dir)[:, None], t_lo, t_hi, feas)
-    feas &= t_lo <= t_hi + _NONNEG_TOL
-    return pi_base, n_dir, t_lo, t_hi, feas
+        rows = vr * (w @ b[0])[:, None]
+        rows += (w @ a[0])[:, None]
+        t_lo, t_hi, feas = _tighten(rows, (w @ n_dir)[:, None], t_lo, t_hi, feas)
+    return a, b, n_dir, t_lo, t_hi, feas & (t_lo <= t_hi + _NONNEG_TOL)
 
 
-def _entry_interval_rows(v, q, entries, pi1, pi_base, n_dir, t_lo, t_hi, feas):
+def _entry_interval_rows(v, q, entries, dot1, base2, n_dir, t_lo, t_hi, feas):
     """Fold every ledger snapshot into the group-2 segment interval.
 
     With pi1 fixed per cell, each snapshot's fairness band and revenue floor
     are linear in pi2 (the gap ratio multiplied through by the positive
-    acceptance mass), so they tighten [t_lo, t_hi] exactly instead of being
-    sampled at one endpoint.
+    acceptance mass), so they tighten [t_lo, t_hi] exactly.  The two band
+    rows are +-(gap, gap_dir) - width * (base_1, dir_1) on the segment.
     """
     for entry in entries:
         g1, g2 = entry.fhat.group1, entry.fhat.group2
-        num1 = pi1 @ (v * g1)
-        m1 = num1 / (pi1 @ g1)
-        width = entry.delta_s + MEMBER_TOL
-        for sign in (1.0, -1.0):
-            w = g2[None, None, :] * (sign * v[None, None, :]
-                                     - (sign * m1 + width)[..., None])
-            a = np.einsum("vai,vai->va", w, pi_base)
-            b = np.einsum("vai,i->va", w, n_dir)
-            t_lo, t_hi, feas = _tighten(a, b, t_lo, t_hi, feas)
         vg2 = v * g2
-        a = (entry.revenue_floor - MEMBER_TOL) - q * num1 - (1.0 - q) * (pi_base @ vg2)
-        t_lo, t_hi, feas = _tighten(a, -(1.0 - q) * float(vg2 @ n_dir), t_lo, t_hi, feas)
-    feas = feas & (t_lo <= t_hi + _NONNEG_TOL)
-    return t_lo, t_hi, feas
+        num1 = dot1(v * g1)
+        m1 = num1 / dot1(g1)
+        width = entry.delta_s + MEMBER_TOL
+        base_v, base_1 = base2(vg2), base2(g2)
+        dir_v, dir_1 = float(vg2 @ n_dir), float(g2 @ n_dir)
+        gap, gap_dir = base_v - m1 * base_1, dir_v - m1 * dir_1
+        base_1 *= width
+        for sign in (1.0, -1.0):
+            t_lo, t_hi, feas = _tighten(sign * gap - base_1, sign * gap_dir - width * dir_1,
+                                        t_lo, t_hi, feas)
+        a = (entry.revenue_floor - MEMBER_TOL) - q * num1 - (1.0 - q) * base_v
+        t_lo, t_hi, feas = _tighten(a, -(1.0 - q) * dir_v, t_lo, t_hi, feas)
+    return t_lo, t_hi, feas & (t_lo <= t_hi + _NONNEG_TOL)
 
 
 @dataclass
 class _Objective:
-    """Linear search objective: value = obj1 . pi1 + obj2 . pi2.  When group 2
-    is a segment, its endpoint is picked to maximize t_coef . pi2 (defaults to
-    the objective's own group-2 part)."""
+    """Linear objective c . (pi1, pi2); a group-2 segment ends where t_coef .
+    pi2 is largest (by default c's group-2 part)."""
 
-    obj1: Optional[np.ndarray]
-    obj2: Optional[np.ndarray]
+    c: np.ndarray
     t_coef: Optional[np.ndarray] = None
 
 
@@ -316,197 +312,216 @@ class _Row:
 
     value: float
     revenue: float
-    vs: float
-    alpha: float
-    beta: float
+    point: ParamPoint
     pi1: np.ndarray
     pi2: np.ndarray
     fixed: bool = False
 
 
-def _region_scan_d3(v, f1, f2, q, delta, entries, objectives, vs_vals, alpha_axis):
-    """Scan one rectangular (vs, alpha) region; return the best row per
-    objective (None where nothing in the region is feasible and surviving).
+def _row_from_weights(v, f1, f2, q, value, vs, pi1, pi2, fixed=False) -> _Row:
+    """A candidate with its revenue and (v_s, alpha, beta) from its weights."""
+    revenue = float(q * (v * f1) @ pi1 + (1.0 - q) * (v * f2) @ pi2)
+    m2 = float((v * f2) @ pi2) / float(f2 @ pi2)
+    return _Row(value, revenue, ParamPoint(vs, float(v @ pi1) - vs, m2 - vs), pi1, pi2, fixed)
 
-    ``alpha_axis`` is ("relative", n) for the full span per vs row or
-    ("absolute", lo, hi, n) for refinement windows.
-    """
-    vs_vals = np.asarray(vs_vals, dtype=float)
-    nvs = vs_vals.size
-    if alpha_axis[0] == "relative":
-        fracs = np.linspace(0.0, 1.0, alpha_axis[1])
-        hi = (v[-1] - vs_vals)[:, None]
-        lo = 0.0
-        if np.any(np.diff(f1) > MONOTONE_TOL):  # inverted estimates: premium can flip
-            lo = -(vs_vals - v[0])[:, None]
-        alpha = lo + fracs[None, :] * (hi - lo)
-    else:
-        _, lo, hi, n = alpha_axis
-        alpha = np.broadcast_to(np.linspace(lo, hi, n), (nvs, n)).copy()
+
+def _region_scan_d3(v, f1, f2, q, delta, entries, spec, vs_vals, alpha):
+    """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), or None.
+    Weights enter only through products with fixed vectors, so every
+    per-cell array is 2-D."""
     vr = vs_vals[:, None] + alpha
-
     with np.errstate(all="ignore"):
-        pi1, feas1 = _pin_group(v, f1, vs_vals, vr)
+        a1, b1, feas = _pin_group(v, f1, vs_vals, vr)
+        dot1 = _affine_dot(a1, b1, vr)
         if delta == 0.0:
-            pi2_pin, feas2 = _pin_group(v, f2, vs_vals, vr)
+            a2, b2, feas2 = _pin_group(v, f2, vs_vals, vr)
+            n_dir, t = np.zeros(3), np.zeros(vr.shape)
         else:
-            pi_base, n_dir, t_lo, t_hi, feas2 = _float_group(v, f2, vs_vals, vr, delta)
+            a2, b2, n_dir, t_lo, t_hi, feas2 = _float_group(v, f2, vs_vals, vr, delta)
             if entries:
                 t_lo, t_hi, feas2 = _entry_interval_rows(
-                    v, q, entries, pi1, pi_base, n_dir, t_lo, t_hi, feas2)
-        feas = feas1 & feas2
-
-        rev1 = pi1 @ (v * f1)
-        results: list[Optional[_Row]] = []
-        for spec in objectives:
-            if delta == 0.0:
-                pi2 = pi2_pin
-            else:
-                t_coef = spec.t_coef if spec.t_coef is not None else spec.obj2
-                slope = 0.0 if t_coef is None else float(t_coef @ n_dir)
-                t = t_hi if slope > 0.0 else t_lo
-                pi2 = pi_base + t[:, :, None] * n_dir
-            value = np.zeros_like(vr)
-            if spec.obj1 is not None:
-                value = value + pi1 @ spec.obj1
-            if spec.obj2 is not None:
-                value = value + pi2 @ spec.obj2
-            revenue = q * rev1 + (1.0 - q) * (pi2 @ (v * f2))
-            mask = feas.copy()
-            if entries:
-                flat = _member_mask(v, q, entries, pi1.reshape(-1, 3), pi2.reshape(-1, 3))
-                mask &= flat.reshape(feas.shape)
-            if not mask.any():
-                results.append(None)
-                continue
-            score = np.where(mask & np.isfinite(value), value, -np.inf)
-            i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-            if not np.isfinite(score[i, j]):
-                results.append(None)
-                continue
-            m2 = float((v * f2) @ pi2[i, j]) / float(f2 @ pi2[i, j])
-            results.append(_Row(
-                value=float(value[i, j]), revenue=float(revenue[i, j]),
-                vs=float(vs_vals[i]), alpha=float(alpha[i, j]),
-                beta=m2 - float(vs_vals[i]),
-                pi1=pi1[i, j].copy(), pi2=pi2[i, j].copy(),
-            ))
-    return results
+                    v, q, entries, dot1, _affine_dot(a2, b2, vr), n_dir, t_lo, t_hi, feas2)
+            t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
+            t = t_hi if float(t_coef @ n_dir) > 0.0 else t_lo
+        feas &= feas2
+        dot2 = _affine_dot(a2, b2, vr, t, n_dir)
+        value = dot1(spec.c[:3]) + dot2(spec.c[3:])
+        if entries:
+            feas &= _member_mask(v, q, entries, dot1, dot2)
+        score = np.where(feas & np.isfinite(value), value, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+        if not np.isfinite(score[i, j]):
+            return None
+        pi1 = a1[i] + vr[i, j] * b1[i]
+        pi2 = a2[i] + vr[i, j] * b2[i] + t[i, j] * n_dir
+    return _row_from_weights(v, f1, f2, q, float(value[i, j]), float(vs_vals[i]), pi1, pi2)
 
 
-def _search_d3(v, f1, f2, q, delta, entries, objectives, cfg: OracleConfig):
-    """Full scan + windowed refinement; one best row per objective."""
+def _search_d3(v, f1, f2, q, delta, entries, spec, cfg: OracleConfig):
+    """Full scan + windowed refinement.  The full scan spans each vs row's
+    premium range, reaching below zero when the anchor curve inverts."""
     vs0 = np.unique(np.concatenate([np.linspace(v[0], v[-1], cfg.grid_steps_vs), v]))
-    block_rows = max(1, _SCAN_BLOCK_CELLS // cfg.grid_steps_alpha)
-    rows: list[Optional[_Row]] = [None] * len(objectives)
-    for start in range(0, vs0.size, block_rows):
-        block = _region_scan_d3(v, f1, f2, q, delta, entries, objectives,
-                                vs0[start:start + block_rows],
-                                ("relative", cfg.grid_steps_alpha))
-        for k, row in enumerate(block):
-            # Strictly better only: ties keep the earlier cell, as argmax
-            # over the whole scan would.
-            if row is not None and (rows[k] is None or row.value > rows[k].value):
-                rows[k] = row
+    lo = -(vs0 - v[0]) if np.any(np.diff(f1) > MONOTONE_TOL) else np.zeros_like(vs0)
+    fracs = np.linspace(0.0, 1.0, cfg.grid_steps_alpha)
+    alpha = lo[:, None] + fracs[None, :] * (v[-1] - vs0 - lo)[:, None]
+    row = _region_scan_d3(v, f1, f2, q, delta, entries, spec, vs0, alpha)
+    if row is None:
+        return None
     d_vs = (v[-1] - v[0]) / (cfg.grid_steps_vs - 1)
     d_al = (v[-1] - v[0]) / (cfg.grid_steps_alpha - 1)
     shrink = 2.0 * _REFINE_WINDOW / (_REFINE_STEPS - 1)
     for _ in range(cfg.refine_iters - 1):
-        for k, row in enumerate(rows):
-            if row is None:
-                continue
-            w_vs, w_al = _REFINE_WINDOW * d_vs, _REFINE_WINDOW * d_al
-            vs_win = np.linspace(max(v[0], row.vs - w_vs), min(v[-1], row.vs + w_vs),
-                                 _REFINE_STEPS)
-            better = _region_scan_d3(
-                v, f1, f2, q, delta, entries, [objectives[k]], vs_win,
-                ("absolute", row.alpha - w_al, row.alpha + w_al, _REFINE_STEPS))[0]
-            if better is not None and better.value >= row.value:
-                rows[k] = better
+        w_vs, w_al = _REFINE_WINDOW * d_vs, _REFINE_WINDOW * d_al
+        vs, al = row.point.v_s, row.point.alpha
+        vs_win = np.linspace(max(v[0], vs - w_vs), min(v[-1], vs + w_vs), _REFINE_STEPS)
+        al_win = np.linspace(al - w_al, al + w_al, _REFINE_STEPS)
+        better = _region_scan_d3(v, f1, f2, q, delta, entries, spec, vs_win,
+                                 np.broadcast_to(al_win, (_REFINE_STEPS, _REFINE_STEPS)))
+        if better is not None and better.value >= row.value:
+            row = better
         d_vs *= shrink
         d_al *= shrink
-    return rows
+    return row
 
 
 # ---------------------------------------------------------------------------
-# general-d fallback (small LP per grid cell)
+# exact search (v_s outer, LP inner), candidate assembly and selection
 # ---------------------------------------------------------------------------
 
-def _search_general(v, f1, f2, q, delta, entries, objectives, cfg: OracleConfig):
-    d = v.size
-    nvs = min(cfg.grid_steps_vs, 72)
-    na = min(cfg.grid_steps_alpha, 20)
-    vs_vals = np.unique(np.concatenate([np.linspace(v[0], v[-1], nvs), v]))
-    rows: list[Optional[_Row]] = [None] * len(objectives)
-    zero = np.zeros(d)
-    can_invert = bool(np.any(np.diff(f1) > MONOTONE_TOL))
-    floor_rows = [(np.r_[-q * v * e.fhat.group1, -(1.0 - q) * v * e.fhat.group2],
-                   -(e.revenue_floor - MEMBER_TOL)) for e in entries]
-    for vs in vs_vals:
-        z1 = (v - vs) * f1
-        band = (v - vs) * f2
-        al_lo = -(vs - v[0]) if can_invert else 0.0
-        for al in np.linspace(al_lo, v[-1] - vs, na):
-            vr = vs + al
-            a_eq = [np.r_[np.ones(d), zero], np.r_[zero, np.ones(d)],
-                    np.r_[v, zero], np.r_[zero, v], np.r_[z1, zero]]
-            b_eq = [1.0, 1.0, vr, vr, 0.0]
-            a_ub = [row for row, _ in floor_rows]
-            b_ub = [rhs for _, rhs in floor_rows]
-            if delta == 0.0:
-                a_eq.append(np.r_[zero, band])
-                b_eq.append(0.0)
-            else:
-                a_ub += [np.r_[zero, band - delta * f2], np.r_[zero, -(band + delta * f2)]]
-                b_ub += [0.0, 0.0]
-            if not a_ub:
-                a_ub = b_ub = None
-            for k, spec in enumerate(objectives):
-                c = np.r_[spec.obj1 if spec.obj1 is not None else zero,
-                          spec.obj2 if spec.obj2 is not None else zero]
-                res = lp_maximize(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
-                if res.status != OPTIMAL:
-                    continue
-                pi1, pi2 = res.x[:d], res.x[d:]
-                if entries and not _member_mask(v, q, entries, pi1[None], pi2[None])[0]:
-                    continue
-                revenue = float(q * (v * f1) @ pi1 + (1 - q) * (v * f2) @ pi2)
-                if rows[k] is None or res.value > rows[k].value:
-                    m2 = float((v * f2) @ pi2) / float(f2 @ pi2)
-                    rows[k] = _Row(res.value, revenue, float(vs), float(al), m2 - float(vs),
-                                   pi1, pi2)
-    return rows
+def _anchor_lp(v, f1, f2, q, delta, entries, c, vs) -> LinearProgram:
+    """The fair LP at anchor vs over x = (pi1, pi2): both sums 1, equal
+    proposed means (the premium is free), group 1's accepted mean at vs,
+    group 2's pinned (delta = 0) or in its band, and the ledger floors."""
+    zero, one = np.zeros(v.size), np.ones(v.size)
+    a_eq = [np.r_[one, zero], np.r_[zero, one], np.r_[v, -v], np.r_[(v - vs) * f1, zero]]
+    b_eq = [1.0, 1.0, 0.0, 0.0]
+    a_ub = [np.r_[-q * v * e.fhat.group1, -(1.0 - q) * v * e.fhat.group2] for e in entries]
+    b_ub = [MEMBER_TOL - e.revenue_floor for e in entries]
+    band = (v - vs) * f2
+    if delta == 0.0:
+        a_eq.append(np.r_[zero, band])
+        b_eq.append(0.0)
+    else:
+        a_ub += [np.r_[zero, band - delta * f2], np.r_[zero, -(band + delta * f2)]]
+        b_ub += [0.0, 0.0]
+    return LinearProgram(c, a_ub=a_ub or None, b_ub=b_ub or None, a_eq=a_eq, b_eq=b_eq)
 
 
-# ---------------------------------------------------------------------------
-# candidate assembly and selection
-# ---------------------------------------------------------------------------
+def _split_rows(lp: LinearProgram, x: np.ndarray, tight=None):
+    """(a, b) of the rows active at x (equalities, inequalities without slack),
+    (a, b) of the others, and the tight mask, which a later call can reuse."""
+    a_ub = np.empty((0, lp.n)) if lp.a_ub is None else lp.a_ub
+    b_ub = np.empty(0) if lp.b_ub is None else lp.b_ub
+    if tight is None:
+        tight = b_ub - a_ub @ x <= _NONNEG_TOL
+    return (np.vstack([lp.a_eq, a_ub[tight]]), np.r_[lp.b_eq, b_ub[tight]],
+            a_ub[~tight], b_ub[~tight], tight)
 
-def _explicit_rows(v, f1, f2, q, delta, entries, policies, objectives):
+
+def _vertex(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """x re-solved from its active rows over its support: one vertex gives
+    the same bits whatever the pivots or the rows that do not bind there (a
+    wider band), so the relaxed optimum cannot dip by rounding as it grows."""
+    a, b, *_ = _split_rows(lp, x)
+    support = x > _NONNEG_TOL
+    out = np.zeros_like(x)
+    out[support] = np.linalg.lstsq(a[:, support], b, rcond=None)[0]
+    return out
+
+
+def _real_roots(poly: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Real roots in [lo, hi]; leading coefficients may be rounding noise."""
+    big = np.flatnonzero(np.abs(poly) > 1e-10 * np.max(np.abs(poly), initial=0.0))
+    if big.size == 0 or big[0] >= poly.size - 1:
+        return np.empty(0)
+    roots = np.roots(poly[big[0]:])
+    roots = roots.real[np.abs(roots.imag) <= 1e-7]
+    return roots[(roots >= lo) & (roots <= hi)]
+
+
+def _basis_anchors(lp_at, x: np.ndarray, vs: float, v: np.ndarray) -> np.ndarray:
+    """Anchors in [v_1, v_d] where the LP's value can peak while x's basis holds.
+
+    When x is nondegenerate, its active rows over its support are square.
+    At most two of them move with v_s, affinely (group 1's anchor; group 2's
+    pin or binding band edge), so by Cramer's rule each basic weight is
+    P_j / D, each inactive row's slack R_k / D and the objective N / D, all
+    polynomials in v_s of degree <= 3.  The basis peaks at a breakpoint (a
+    root of some P_j or R_k) or a root of N'D - ND'; those where the basis
+    stays feasible are returned, none when x is degenerate.
+    """
+    a, _, _, _, tight = _split_rows(lp_at(vs), x)
+    support = np.flatnonzero(x > _NONNEG_TOL)
+    if v[-1] <= v[0] or support.size != a.shape[0]:
+        return np.empty(0)
+    # Fit in u = (v_s - mid) / half on [-1, 1], where the monomials are well
+    # conditioned; five nodes fix a quartic, a margin over degree 3.
+    mid, half = 0.5 * (v[0] + v[-1]), 0.5 * (v[-1] - v[0])
+    nodes = np.linspace(-1.0, 1.0, 5)
+    values = []
+    for u in nodes:
+        a, b, a_in, b_in, _ = _split_rows(lp_at(mid + half * u), x, tight)
+        stack = np.repeat(a[None, :, support], support.size + 1, axis=0)
+        for j in range(support.size):
+            stack[j + 1, :, j] = b
+        dets = np.linalg.det(stack)  # D, then each P_j
+        values.append(np.r_[dets, b_in * dets[0] - a_in[:, support] @ dets[1:]])
+    coef = np.linalg.solve(np.vander(nodes), np.array(values))
+    den, nums = coef[:, 0], coef[:, 1:]
+    obj = nums[:, :support.size] @ lp_at(vs).objective[support]
+    stationary = np.polysub(np.polymul(np.polyder(obj), den),
+                            np.polymul(obj, np.polyder(den)))
+    u = np.concatenate([_real_roots(p, -1.0, 1.0) for p in (stationary, *nums.T)])
+    d_u = np.polyval(den, u)
+    basic = np.array([np.polyval(p, u) for p in nums.T]).reshape(-1, u.size)
+    ok = (d_u != 0.0) & np.all(basic * np.sign(d_u) >= -1e-9 * np.abs(d_u), axis=0)
+    return np.unique(mid + half * u[ok])
+
+
+def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
+    """The anchor LP at every seed v_s, then the best local maxima polished
+    in their basis; ledger bands are post-filtered (module docstring)."""
+    d, c = v.size, spec.c
+    lp_c = c + _REVENUE_TIE * np.r_[q * v * f1, (1.0 - q) * v * f2]
+
+    def lp_at(vs):
+        return _anchor_lp(v, f1, f2, q, delta, entries, lp_c, vs)
+
+    def solve(vs) -> Optional[_Row]:
+        lp = lp_at(vs)
+        res = lp_maximize(lp)
+        if res.status != OPTIMAL:
+            return None
+        x = _vertex(lp, res.x)
+        pi1, pi2 = x[:d], x[d:]
+        if entries and not _member_mask(v, q, entries, pi1.dot, pi2.dot):
+            return None
+        return _row_from_weights(v, f1, f2, q, float(c @ x), float(vs), pi1, pi2)
+
+    rows = [solve(vs) for vs in np.unique(np.r_[np.linspace(v[0], v[-1], _SEED_STEPS), v])]
+    values = np.array([-np.inf if r is None else r.value for r in rows])
+    padded = np.r_[-np.inf, values, -np.inf]
+    peaks = [i for i in np.argsort(-values, kind="stable")
+             if rows[i] is not None and padded[i] <= values[i] >= padded[i + 2]]
+    found = [r for r in rows if r is not None]
+    for i in peaks[:_POLISH_SEEDS]:
+        anchors = _basis_anchors(lp_at, np.r_[rows[i].pi1, rows[i].pi2], rows[i].point.v_s, v)
+        found += [r for r in map(solve, anchors) if r is not None]
+    return max(found, key=lambda r: (r.value, r.revenue), default=None)
+
+
+def _explicit_rows(v, f1, f2, q, delta, entries, policies, spec) -> list[_Row]:
     """Score hand-picked whole policies (fixed prices, an incumbent) under the
-    same constraints the scan enforces.  Returns one row list per objective."""
-    per_objective: list[list[_Row]] = [[] for _ in objectives]
+    same constraints the searches enforce."""
+    rows = []
     for pol, fixed in policies:
         w1, w2 = pol.group1.weights, pol.group2.weights
-        if abs(float(v @ w1 - v @ w2)) > MEMBER_TOL:
-            continue
-        den1, den2 = float(f1 @ w1), float(f2 @ w2)
-        m1 = float((v * f1) @ w1) / den1
-        m2 = float((v * f2) @ w2) / den2
-        if abs(m1 - m2) > delta + MEMBER_TOL:
-            continue
-        if entries and not _member_mask(v, q, entries, w1[None], w2[None])[0]:
-            continue
-        revenue = float(q * (v * f1) @ w1 + (1 - q) * (v * f2) @ w2)
-        for k, spec in enumerate(objectives):
-            value = 0.0
-            if spec.obj1 is not None:
-                value += float(spec.obj1 @ w1)
-            if spec.obj2 is not None:
-                value += float(spec.obj2 @ w2)
-            per_objective[k].append(_Row(value, revenue, m1, float(v @ w1) - m1, m2 - m1,
-                                         w1, w2, fixed=fixed))
-    return per_objective
+        row = _row_from_weights(v, f1, f2, q, float(spec.c @ np.r_[w1, w2]),
+                                float((v * f1) @ w1) / float(f1 @ w1), w1, w2, fixed)
+        if (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL and abs(row.point.beta) <= delta + MEMBER_TOL
+                and (not entries or _member_mask(v, q, entries, w1.dot, w2.dot))):
+            rows.append(row)
+    return rows
 
 
 def _select_best(rows: list[_Row]) -> Optional[_Row]:
@@ -529,30 +544,25 @@ def _clean_pair(pi1: np.ndarray, pi2: np.ndarray) -> PolicyPair:
                       GroupDistribution.renormalized(pi2))
 
 
-def _search(v, f1, f2, q, delta, entries, objectives, cfg, extra_policies=()):
-    """Scan + explicit candidates, selected per objective."""
-    d = v.size
-    if d == 3:
-        scan = _search_d3(v, f1, f2, q, delta, entries, objectives, cfg)
-    elif d > 3:
-        scan = _search_general(v, f1, f2, q, delta, entries, objectives, cfg)
+def _search(v, f1, f2, q, delta, entries, spec, cfg=None, extra_policies=()):
+    """Best candidate for one objective.  A three-price grid with ledger
+    snapshots takes the closed-form scan, which folds the bands exactly;
+    everything else takes the exact LP search.  The fixed prices and any
+    extra policies are scored as candidates too."""
+    if v.size == 3 and entries:
+        found = _search_d3(v, f1, f2, q, delta, entries, spec, cfg or _DEFAULT_CFG)
     else:
-        scan = [None] * len(objectives)  # one or two prices: explicit only
-    policies = [(fixed_price_policy(d, i), True) for i in range(d)]
+        found = _search_lp(v, f1, f2, q, delta, entries, spec)
+    policies = [(fixed_price_policy(v.size, i), True) for i in range(v.size)]
     policies += [(pol, False) for pol in extra_policies]
-    explicit = _explicit_rows(v, f1, f2, q, delta, entries, policies, objectives)
-    return [_select_best([scan[k]] + explicit[k]) for k in range(len(objectives))]
-
-
-def _market_arrays(market: MarketConfig):
-    return (market.grid.prices, market.accept.group1, market.accept.group2, market.q)
+    return _select_best([found] + _explicit_rows(v, f1, f2, q, delta, entries, policies, spec))
 
 
 # ---------------------------------------------------------------------------
 # public searches
 # ---------------------------------------------------------------------------
 
-def solve_fair_optimal(market: MarketConfig, cfg: Optional[OracleConfig] = None) -> FairSolution:
+def solve_fair_optimal(market: MarketConfig) -> FairSolution:
     """Maximize expected revenue over policies with equal proposed means and
     equal accepted means (U = 0 and S = 0).
 
@@ -560,25 +570,21 @@ def solve_fair_optimal(market: MarketConfig, cfg: Optional[OracleConfig] = None)
         FairSolution with the optimal pair, its exact expected revenue under
         the market, and the (v_s, alpha) parameters it was found at.
     """
-    return solve_relaxed_optimal(market, 0.0, cfg)
+    return solve_relaxed_optimal(market, 0.0)
 
 
-def solve_relaxed_optimal(market: MarketConfig, delta: float,
-                          cfg: Optional[OracleConfig] = None) -> FairSolution:
+def solve_relaxed_optimal(market: MarketConfig, delta: float) -> FairSolution:
     """Like :func:`solve_fair_optimal` but lets group 2's accepted mean float
     within ``delta`` of group 1's (linearized band).  ``delta = 0`` recovers
     the strict problem; the optimum value is nondecreasing in ``delta``."""
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
-    cfg = cfg or _DEFAULT_CFG
-    v, f1, f2, q = _market_arrays(market)
-    spec = _Objective(q * v * f1, (1.0 - q) * v * f2)
-    best = _search(v, f1, f2, q, delta, [], [spec], cfg)[0]
+    v, f1, f2, q = market.grid.prices, market.accept.group1, market.accept.group2, market.q
+    best = _search(v, f1, f2, q, delta, [], _Objective(np.r_[q * v * f1, (1.0 - q) * v * f2]))
     if best is None:  # unreachable: fixed prices are always feasible here
         raise RuntimeError("no feasible policy found")
     policy = _clean_pair(best.pi1, best.pi2)
-    return FairSolution(policy, expected_revenue(market, policy),
-                        ParamPoint(best.vs, best.alpha, best.beta))
+    return FairSolution(policy, expected_revenue(market, policy), best.point)
 
 
 def empirical_optimizer(fhat: AcceptanceModel, ledger: EliminationLedger, delta_s: float,
@@ -594,16 +600,13 @@ def empirical_optimizer(fhat: AcceptanceModel, ledger: EliminationLedger, delta_
     """
     if delta_s < 0.0:
         raise ValueError("delta_s must be >= 0")
-    cfg = cfg or _DEFAULT_CFG
     v, q = ledger.grid.prices, ledger.q
     f1, f2 = fhat.group1, fhat.group2
-    spec = _Objective(q * v * f1, (1.0 - q) * v * f2)
+    spec = _Objective(np.r_[q * v * f1, (1.0 - q) * v * f2])
     extras = (incumbent,) if incumbent is not None else ()
-    best = _search(v, f1, f2, q, delta_s, list(ledger.entries), [spec], cfg, extras)
-    if best[0] is not None:
-        row = best[0]
-        return OptimizerResult(_clean_pair(row.pi1, row.pi2), row.revenue,
-                               ParamPoint(row.vs, row.alpha, row.beta))
+    row = _search(v, f1, f2, q, delta_s, list(ledger.entries), spec, cfg, extras)
+    if row is not None:
+        return OptimizerResult(_clean_pair(row.pi1, row.pi2), row.revenue, row.point)
     # Nothing clears the ledger: fall back to the best fixed price, flagged.
     rev = q * v * f1 + (1.0 - q) * v * f2
     i = int(np.argmax(rev))
@@ -637,19 +640,15 @@ def max_probability_policy(price_index: int, group: int, fhat: AcceptanceModel,
         raise ValueError("group must be 1 or 2")
     if delta_s < 0.0:
         raise ValueError("delta_s must be >= 0")
-    cfg = cfg or _DEFAULT_CFG
     f1, f2 = fhat.group1, fhat.group2
-    e_i = np.zeros(d)
-    e_i[price_index] = 1.0
-    if group == 1:
-        spec = _Objective(e_i, None, t_coef=v * f2)  # segment slack spent on revenue
-    else:
-        spec = _Objective(None, e_i)
-    best = _search(v, f1, f2, q, delta_s, list(ledger.entries), [spec], cfg)[0]
+    c = np.zeros(2 * d)
+    c[(group - 1) * d + price_index] = 1.0
+    # A group-1 probe spends group 2's segment slack on revenue.
+    spec = _Objective(c, t_coef=v * f2 if group == 1 else None)
+    best = _search(v, f1, f2, q, delta_s, list(ledger.entries), spec, cfg)
     if best is None:
         return MaxProbResult(None, 0.0, None, ledger_infeasible=True)
-    return MaxProbResult(_clean_pair(best.pi1, best.pi2), float(best.value),
-                         ParamPoint(best.vs, best.alpha, best.beta))
+    return MaxProbResult(_clean_pair(best.pi1, best.pi2), float(best.value), best.point)
 
 
 # ---------------------------------------------------------------------------

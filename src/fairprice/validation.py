@@ -4,7 +4,7 @@ Each check returns a :class:`CheckResult` instead of raising, so the suite
 always runs to completion and reports expected-vs-actual for whatever failed.
 The checks deliberately re-derive their reference values through routes that
 share as little code as possible with the library proper: closed forms are
-hand-expanded rationals, the scan is cross-examined against a dense simplex
+hand-expanded rationals, the solver is cross-examined against a dense simplex
 enumeration, and the LP solver against brute-force vertex inspection.
 
 Budget notes: the scaling and retention checks run full simulated episodes
@@ -108,7 +108,7 @@ def _random_policy(rng: np.random.Generator, d: int) -> PolicyPair:
 # ---------------------------------------------------------------------------
 
 def brute_force_fair_optimal(market: MarketConfig, step: float = 1e-3):
-    """Fair optimum by dense enumeration, independent of the scan.
+    """Fair optimum by dense enumeration, independent of the solver.
 
     Walks group 1 over the full probability simplex at resolution ``step``;
     for each point the doubly-fair group-2 weights are the unique solution of
@@ -199,7 +199,7 @@ def check_closed_form_golden() -> CheckResult:
 
 
 def check_scan_matches_closed_form() -> CheckResult:
-    """The numerical scan reproduces the family's closed form at several eps."""
+    """The exact solver reproduces the family's closed form at several eps."""
     t0 = time.time()
     worst_rev, worst_pol = 0.0, 0.0
     for eps in (0.0, 1e-4, 1e-3, 1e-2):
@@ -209,9 +209,9 @@ def check_scan_matches_closed_form() -> CheckResult:
         for g in (1, 2):
             worst_pol = max(worst_pol, float(np.max(np.abs(
                 got.policy.weights(g) - ref.policy.weights(g)))))
-    return _finish("scan-vs-closed-form", t0, worst_rev <= 1e-4 and worst_pol <= 1e-3,
-                   f"max revenue err {worst_rev:.2e} (tol 1e-4), "
-                   f"max policy err {worst_pol:.2e} (tol 1e-3)")
+    return _finish("scan-vs-closed-form", t0, worst_rev <= 1e-10 and worst_pol <= 1e-10,
+                   f"max revenue err {worst_rev:.2e} (tol 1e-10), "
+                   f"max policy err {worst_pol:.2e} (tol 1e-10)")
 
 
 def check_parametrized_surface() -> CheckResult:
@@ -248,7 +248,7 @@ def check_parametrized_surface() -> CheckResult:
 
 
 def check_brute_force_agreement() -> CheckResult:
-    """The scan and the dense simplex enumeration agree on random markets."""
+    """The solver and the dense simplex enumeration agree on random markets."""
     t0 = time.time()
     rng = np.random.default_rng(77)
     worst, worst_idx = 0.0, -1

@@ -1,12 +1,19 @@
 """Shared fixtures: the worked example market is solved once per session."""
 
 import pytest
+from hypothesis import settings
 
 from fairprice import (
     closed_form_example_optimum,
     example1_market,
     solve_fair_optimal,
 )
+
+
+# Property tests draw the same examples on every run and have no deadline:
+# a solve's time depends on the machine's load, not on the example.
+settings.register_profile("fairprice", derandomize=True, deadline=None)
+settings.load_profile("fairprice")
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +23,7 @@ def example_market():
 
 @pytest.fixture(scope="session")
 def example_solution(example_market):
-    """Grid-scan solution of the example market (a second or two; share it)."""
+    """Exact solution of the example market (shared by the tests that read it)."""
     return solve_fair_optimal(example_market)
 
 

@@ -58,8 +58,8 @@ def test_solve_reports_the_example_optimum(tmp_path, capsys):
     assert "revenue  0.510" in stdout
     assert "closed-form revenue 0.510344828" in stdout
     report = json.loads(out.read_text())
-    assert report["revenue"] == pytest.approx(74.0 / 145.0, abs=1e-4)
-    assert report["closed_form_gap"] < 1e-4
+    assert report["revenue"] == pytest.approx(74.0 / 145.0, abs=1e-12)
+    assert report["closed_form_gap"] < 1e-10
     assert len(report["policy_group1"]) == 3
 
 
@@ -104,7 +104,7 @@ def test_run_writes_traces_and_summaries(tmp_path, capsys):
     merged = json.loads((out / "run_summary.json").read_text())
     assert merged["config"]["run.horizon"] == 1500
     assert len(merged["cells"]) == 2
-    assert merged["oracle_revenue"] == pytest.approx(74.0 / 145.0, abs=1e-4)
+    assert merged["oracle_revenue"] == pytest.approx(74.0 / 145.0, abs=1e-12)
     per_seed = json.loads((out / "summary_T1500_seed0.json").read_text())
     assert per_seed["config"]["environment.preset"] == "example1"
     assert per_seed["cum_u"] <= 1e-9

@@ -279,3 +279,36 @@ def test_market_text_tolerates_comments_and_blank_lines():
 def test_market_text_rejects_malformed_input(mangle):
     with pytest.raises(ValueError):
         market_from_text(mangle(market_to_text(example1_market())))
+
+
+_TEXT_KEYS = ("d", "q", "f_min", "prices", "accept1", "accept2", "#", "x")
+_TEXT_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "0x1", "", "1,0"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _mangled_market_text(draw):
+    """The example market's text with one token swapped for a random one."""
+    words = market_to_text(example1_market()).split(" ")
+    words[draw(st.integers(0, len(words) - 1))] = draw(_TEXT_TOKENS)
+    return " ".join(words)
+
+
+@given(st.one_of(
+    st.text(),
+    st.lists(st.tuples(st.sampled_from(_TEXT_KEYS), st.lists(_TEXT_TOKENS, max_size=9)),
+             max_size=8).map(lambda lines: "\n".join(
+                 " ".join([key, *tokens]) for key, tokens in lines)),
+    _mangled_market_text(),
+))
+def test_market_text_parses_or_raises_value_error(text):
+    """Any text is either a market or a ValueError, never another exception."""
+    try:
+        market = market_from_text(text)
+    except ValueError:
+        return
+    assert market_from_text(market_to_text(market)).d == market.d

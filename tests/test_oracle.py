@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairprice import (
     AcceptanceModel,
@@ -26,7 +27,7 @@ from fairprice import (
     solve_relaxed_optimal,
     substantive_gap,
 )
-from fairprice import oracle
+from fairprice.linsolve import LinearProgram, vertex_enumerate
 from fairprice.oracle import ParamPoint
 from fairprice.validation import brute_force_fair_optimal
 
@@ -102,21 +103,19 @@ def test_param_point_exposes_proposed_mean():
 
 
 # ---------------------------------------------------------------------------
-# the grid-scan solver
+# the exact solver
 # ---------------------------------------------------------------------------
 
 def test_scan_reproduces_the_example_optimum(example_market, example_solution,
                                              example_closed_form):
     sol, opt = example_solution, example_closed_form
-    assert sol.revenue == pytest.approx(opt.revenue, abs=1e-4)
-    # frozen regression value: the scan is deterministic, so pin it tightly
-    assert sol.revenue == pytest.approx(0.5103428225392683, abs=1e-9)
+    assert sol.revenue == pytest.approx(74.0 / 145.0, abs=1e-12)
     for g in (1, 2):
         np.testing.assert_allclose(sol.policy.weights(g), opt.policy.weights(g),
-                                   atol=1e-3)
+                                   atol=1e-10)
     assert procedural_gap(example_market.grid, sol.policy) <= 1e-9
     assert substantive_gap(example_market, sol.policy) <= 1e-9
-    assert sol.point.v_s == pytest.approx(8.0 / 11.0, abs=1e-3)
+    assert sol.point.v_s == pytest.approx(8.0 / 11.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-2])
@@ -124,7 +123,24 @@ def test_scan_tracks_the_family_across_eps(eps):
     market = example_eps_market(eps)
     sol = solve_relaxed_optimal(market, 0.0)
     assert sol.revenue == pytest.approx(closed_form_example_optimum(eps).revenue,
-                                        abs=1e-4)
+                                        abs=1e-10)
+
+
+def _anchor_lp_value(market, delta, v_s):
+    """Optimum of the anchor LP at v_s by brute-force vertex enumeration,
+    built from the problem statement rather than the solver's code."""
+    v, q = market.grid.prices, market.q
+    f1, f2 = market.accept.group1, market.accept.group2
+    zero, one = np.zeros(3), np.ones(3)
+    band = (v - v_s) * f2
+    lp = LinearProgram(
+        np.r_[q * v * f1, (1 - q) * v * f2],
+        a_ub=[np.r_[zero, band - delta * f2], np.r_[zero, -band - delta * f2]],
+        b_ub=[0.0, 0.0],
+        a_eq=[np.r_[one, zero], np.r_[zero, one], np.r_[v, -v],
+              np.r_[(v - v_s) * f1, zero]],
+        b_eq=[1.0, 1.0, 0.0, 0.0])
+    return vertex_enumerate(lp).value
 
 
 def test_relaxed_solver_is_monotone_in_the_band(example_market, example_solution):
@@ -134,29 +150,13 @@ def test_relaxed_solver_is_monotone_in_the_band(example_market, example_solution
         assert substantive_gap(example_market, sol.policy) <= delta + 1e-9
         revenues.append(sol.revenue)
     assert revenues == sorted(revenues)
-    # frozen regression value for the mid band
-    assert revenues[2] == pytest.approx(0.5119214488360185, abs=1e-9)
+    # frozen regression value for the mid band (the last solve), equal to the
+    # vertex optimum of the anchor LP at the v_s it reports
+    assert revenues[2] == pytest.approx(0.512, abs=1e-9)
+    assert revenues[2] == pytest.approx(
+        _anchor_lp_value(example_market, 0.02, sol.point.v_s), abs=1e-12)
     with pytest.raises(ValueError):
         solve_relaxed_optimal(example_market, -0.01)
-
-
-def test_blocked_scan_finds_the_whole_scans_cell(monkeypatch, example_market):
-    """The d = 3 scan runs over blocks of v_s rows (three at the default
-    resolution); merging the blocks must pick the cell one scan over all
-    rows picks, bit for bit."""
-    ledger = _ledger_with(example_market, 0.02, 0.5)
-
-    def solves():
-        return [solve_fair_optimal(example_market),
-                solve_relaxed_optimal(example_market, 0.02),
-                empirical_optimizer(example_market.accept, ledger, 0.01)]
-
-    blocked = solves()
-    monkeypatch.setattr(oracle, "_SCAN_BLOCK_CELLS", 10**9)
-    for got, want in zip(blocked, solves()):
-        assert got.point == want.point
-        for g in (1, 2):
-            assert got.policy.weights(g).tolist() == want.policy.weights(g).tolist()
 
 
 def _random_market(rng, d):
@@ -178,6 +178,50 @@ def test_general_solver_handles_wide_grids(d):
     assert substantive_gap(market, sol.policy) <= 1e-9
     assert sol.revenue >= best_fixed_price(market)[1] - 1e-12
     assert sol.revenue == pytest.approx(expected_revenue(market, sol.policy), abs=1e-12)
+
+
+@st.composite
+def random_markets(draw, d=None):
+    """A valid market with d in 1..8: spaced prices in (0, 1], nonincreasing
+    curves above the default floor, a non-extreme group mix."""
+    d = draw(st.integers(1, 8)) if d is None else d
+    low = draw(st.floats(0.05, 0.6))
+    steps = draw(st.lists(st.floats(0.01, 0.2), min_size=d - 1, max_size=d - 1))
+    prices = low + np.r_[0.0, np.cumsum(steps)]
+    prices /= max(1.0, prices[-1])
+
+    def curve():
+        start = draw(st.floats(0.1, 1.0))
+        ratios = draw(st.lists(st.floats(0.3, 1.0), min_size=d - 1, max_size=d - 1))
+        return np.maximum(start * np.cumprod(np.r_[1.0, ratios]), 0.06)
+
+    return MarketConfig(PriceGrid(prices), AcceptanceModel(curve(), curve()),
+                        q=draw(st.floats(0.05, 0.95)))
+
+
+@settings(max_examples=25)
+@given(random_markets())
+def test_solutions_are_fair_and_bracketed_on_random_markets(market):
+    v = market.grid.prices
+    fixed = best_fixed_price(market)[1]
+    ceiling = (market.q * float(np.max(v * market.accept.group1))
+               + (1 - market.q) * float(np.max(v * market.accept.group2)))
+    revenues = []
+    for delta in (0.0, 0.01, 0.03):
+        sol = solve_relaxed_optimal(market, delta)
+        assert procedural_gap(market.grid, sol.policy) <= 1e-9
+        assert substantive_gap(market, sol.policy) <= delta + 1e-9
+        assert sol.revenue == expected_revenue(market, sol.policy)
+        assert fixed - 1e-12 <= sol.revenue <= ceiling + 1e-12
+        revenues.append(sol.revenue)
+    assert revenues == sorted(revenues)  # no slack, as the benchmark checks it
+
+
+@settings(max_examples=15)
+@given(random_markets(d=3))
+def test_solutions_beat_the_dense_enumeration_on_random_markets(market):
+    dense_revenue, _, _ = brute_force_fair_optimal(market, step=0.02)
+    assert solve_fair_optimal(market).revenue >= dense_revenue - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +322,9 @@ def test_optimizer_reaches_negative_premiums_on_estimates():
     v = grid.prices
     res = empirical_optimizer(fhat, EliminationLedger(grid, q), 0.0)
     assert res.point.alpha < 0.0
-    assert res.revenue_hat == pytest.approx(0.5728902671144278, abs=1e-9)
+    assert res.revenue_hat == pytest.approx(0.5729851333392454, abs=1e-9)
+    assert res.revenue_hat == pytest.approx(
+        _anchor_lp_value(MarketConfig(grid, fhat, q=q), 0.0, res.point.v_s), abs=1e-12)
     fixed_best = max(
         q * v[i] * fhat.group1[i] + (1 - q) * v[i] * fhat.group2[i]
         for i in range(3))
