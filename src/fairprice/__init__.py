@@ -46,6 +46,7 @@ from .oracle import (
     empirical_optimizer,
     eps_family_policy,
     example_revenue_surface,
+    max_probability_policies,
     max_probability_policy,
     member,
     solve_fair_optimal,
@@ -99,6 +100,7 @@ __all__ = [
     "lp_maximize",
     "market_from_text",
     "market_to_text",
+    "max_probability_policies",
     "max_probability_policy",
     "member",
     "procedural_gap",

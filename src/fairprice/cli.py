@@ -409,6 +409,8 @@ def cmd_compare_lb(args) -> int:
     config = load_config_file(args.config) if args.config else {}
     agent_cfg = _resolve_agent(args, config)
     eps = args.eps if args.eps is not None else 0.01
+    # The closed forms also check eps's range, before any episode runs.
+    base, pert = closed_form_example_optimum(0.0), closed_form_example_optimum(eps)
     horizon = args.horizon if args.horizon is not None else 100_000
     seeds = parse_seed_spec(args.seeds or "10")
     out_dir = args.out
@@ -440,7 +442,6 @@ def cmd_compare_lb(args) -> int:
             "cells": cells,
         }
 
-    base, pert = closed_form_example_optimum(0.0), closed_form_example_optimum(eps)
     gap = abs((pert.v_s + pert.alpha) - (base.v_s + base.alpha))
     formula_gap = 360.0 * eps / (29.0 * (29.0 - 10.0 * eps))
     report = {

@@ -46,7 +46,7 @@ from .oracle import (
     LedgerEntry,
     OracleConfig,
     empirical_optimizer,
-    max_probability_policy,
+    max_probability_policies,
 )
 
 DEFAULT_ERROR_PROB = 0.05
@@ -380,19 +380,19 @@ class FpaAgent:
                 active.append(fixed_price_policy(self.d, i))
         else:
             latest = self.ledger.latest
-            for g in (1, 2):
-                for i in sorted(self.price_sets[g - 1]):
-                    res = max_probability_policy(i, g, latest.fhat, self.ledger,
-                                                 latest.delta_s, cfg=self.oracle_cfg)
-                    if res.ledger_infeasible:
-                        self.flags.append(f"probe_ledger_infeasible:e{k}:g{g}:i{i}")
-                    if res.policy is not None and res.achieved_prob >= keep_threshold:
-                        key = _policy_key(res.policy)
-                        if key not in seen:
-                            seen.add(key)
-                            active.append(res.policy)
-                    else:
-                        self.price_sets[g - 1].discard(i)
+            probes = [(i, g) for g in (1, 2) for i in sorted(self.price_sets[g - 1])]
+            results = max_probability_policies(probes, latest.fhat, self.ledger,
+                                               latest.delta_s, cfg=self.oracle_cfg)
+            for (i, g), res in zip(probes, results):
+                if res.ledger_infeasible:
+                    self.flags.append(f"probe_ledger_infeasible:e{k}:g{g}:i{i}")
+                if res.policy is not None and res.achieved_prob >= keep_threshold:
+                    key = _policy_key(res.policy)
+                    if key not in seen:
+                        seen.add(key)
+                        active.append(res.policy)
+                else:
+                    self.price_sets[g - 1].discard(i)
         if not active:
             self.flags.append(f"empty_active_set:e{k}")
             active = [self.incumbent if self.incumbent is not None

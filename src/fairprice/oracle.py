@@ -325,63 +325,79 @@ def _row_from_weights(v, f1, f2, q, value, vs, pi1, pi2, fixed=False) -> _Row:
     return _Row(value, revenue, ParamPoint(vs, float(v @ pi1) - vs, m2 - vs), pi1, pi2, fixed)
 
 
-def _region_scan_d3(v, f1, f2, q, delta, entries, spec, vs_vals, alpha):
-    """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), or None.
-    Weights enter only through products with fixed vectors, so every
-    per-cell array is 2-D."""
+def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs) -> list[Optional[_Row]]:
+    """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), for each
+    objective, or None.  The objective-free state (group-1 rows, the group-2
+    segment with the ledger folded in, the feasible cells at each segment
+    end used) is built once and freed on return.  Weights enter only
+    through products with fixed vectors, so every per-cell array is 2-D."""
     vr = vs_vals[:, None] + alpha
+    rows = []
     with np.errstate(all="ignore"):
         a1, b1, feas = _pin_group(v, f1, vs_vals, vr)
         dot1 = _affine_dot(a1, b1, vr)
         if delta == 0.0:
             a2, b2, feas2 = _pin_group(v, f2, vs_vals, vr)
-            n_dir, t = np.zeros(3), np.zeros(vr.shape)
+            n_dir, ends = np.zeros(3), (np.zeros(vr.shape),) * 2
         else:
             a2, b2, n_dir, t_lo, t_hi, feas2 = _float_group(v, f2, vs_vals, vr, delta)
             if entries:
                 t_lo, t_hi, feas2 = _entry_interval_rows(
                     v, q, entries, dot1, _affine_dot(a2, b2, vr), n_dir, t_lo, t_hi, feas2)
-            t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
-            t = t_hi if float(t_coef @ n_dir) > 0.0 else t_lo
+            ends = (t_lo, t_hi)
         feas &= feas2
-        dot2 = _affine_dot(a2, b2, vr, t, n_dir)
-        value = dot1(spec.c[:3]) + dot2(spec.c[3:])
-        if entries:
-            feas &= _member_mask(v, q, entries, dot1, dot2)
-        score = np.where(feas & np.isfinite(value), value, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-        if not np.isfinite(score[i, j]):
-            return None
-        pi1 = a1[i] + vr[i, j] * b1[i]
-        pi2 = a2[i] + vr[i, j] * b2[i] + t[i, j] * n_dir
-    return _row_from_weights(v, f1, f2, q, float(value[i, j]), float(vs_vals[i]), pi1, pi2)
+        feas_at = {}  # segment end -> cells feasible and clearing the ledger
+        for spec in specs:
+            t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
+            end = int(float(t_coef @ n_dir) > 0.0)
+            t = ends[end]
+            dot2 = _affine_dot(a2, b2, vr, t, n_dir)
+            value = dot1(spec.c[:3]) + dot2(spec.c[3:])
+            if end not in feas_at:
+                feas_at[end] = feas & _member_mask(v, q, entries, dot1, dot2) if entries else feas
+            score = np.where(feas_at[end] & np.isfinite(value), value, -np.inf)
+            i, j = np.unravel_index(int(np.argmax(score)), score.shape)
+            if not np.isfinite(score[i, j]):
+                rows.append(None)
+                continue
+            pi1 = a1[i] + vr[i, j] * b1[i]
+            pi2 = a2[i] + vr[i, j] * b2[i] + t[i, j] * n_dir
+            rows.append(_row_from_weights(v, f1, f2, q, float(value[i, j]), float(vs_vals[i]),
+                                          pi1, pi2))
+    return rows
 
 
-def _search_d3(v, f1, f2, q, delta, entries, spec, cfg: OracleConfig):
-    """Full scan + windowed refinement.  The full scan spans each vs row's
-    premium range, reaching below zero when the anchor curve inverts."""
+def _search_d3(v, f1, f2, q, delta, entries, specs, cfg: OracleConfig) -> list[Optional[_Row]]:
+    """Full scan + windowed refinement, one row per objective.  The full scan
+    spans each vs row's premium range, reaching below zero when the anchor
+    curve inverts.  Objectives whose rows sit at the same (v_s, alpha) share
+    their refine window."""
     vs0 = np.unique(np.concatenate([np.linspace(v[0], v[-1], cfg.grid_steps_vs), v]))
     lo = -(vs0 - v[0]) if np.any(np.diff(f1) > MONOTONE_TOL) else np.zeros_like(vs0)
     fracs = np.linspace(0.0, 1.0, cfg.grid_steps_alpha)
     alpha = lo[:, None] + fracs[None, :] * (v[-1] - vs0 - lo)[:, None]
-    row = _region_scan_d3(v, f1, f2, q, delta, entries, spec, vs0, alpha)
-    if row is None:
-        return None
+    rows = _scan_d3(v, f1, f2, q, delta, entries, vs0, alpha, specs)
     d_vs = (v[-1] - v[0]) / (cfg.grid_steps_vs - 1)
     d_al = (v[-1] - v[0]) / (cfg.grid_steps_alpha - 1)
     shrink = 2.0 * _REFINE_WINDOW / (_REFINE_STEPS - 1)
     for _ in range(cfg.refine_iters - 1):
         w_vs, w_al = _REFINE_WINDOW * d_vs, _REFINE_WINDOW * d_al
-        vs, al = row.point.v_s, row.point.alpha
-        vs_win = np.linspace(max(v[0], vs - w_vs), min(v[-1], vs + w_vs), _REFINE_STEPS)
-        al_win = np.linspace(al - w_al, al + w_al, _REFINE_STEPS)
-        better = _region_scan_d3(v, f1, f2, q, delta, entries, spec, vs_win,
-                                 np.broadcast_to(al_win, (_REFINE_STEPS, _REFINE_STEPS)))
-        if better is not None and better.value >= row.value:
-            row = better
+        windows: dict[tuple, list[int]] = {}
+        for k, row in enumerate(rows):
+            if row is not None:
+                windows.setdefault((row.point.v_s, row.point.alpha), []).append(k)
+        for (vs, al), ks in windows.items():
+            vs_win = np.linspace(max(v[0], vs - w_vs), min(v[-1], vs + w_vs), _REFINE_STEPS)
+            al_win = np.linspace(al - w_al, al + w_al, _REFINE_STEPS)
+            found = _scan_d3(v, f1, f2, q, delta, entries, vs_win,
+                             np.broadcast_to(al_win, (_REFINE_STEPS, _REFINE_STEPS)),
+                             [specs[k] for k in ks])
+            for k, better in zip(ks, found):
+                if better is not None and better.value >= rows[k].value:
+                    rows[k] = better
         d_vs *= shrink
         d_al *= shrink
-    return row
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -544,18 +560,20 @@ def _clean_pair(pi1: np.ndarray, pi2: np.ndarray) -> PolicyPair:
                       GroupDistribution.renormalized(pi2))
 
 
-def _search(v, f1, f2, q, delta, entries, spec, cfg=None, extra_policies=()):
-    """Best candidate for one objective.  A three-price grid with ledger
-    snapshots takes the closed-form scan, which folds the bands exactly;
-    everything else takes the exact LP search.  The fixed prices and any
-    extra policies are scored as candidates too."""
+def _search(v, f1, f2, q, delta, entries, specs, cfg=None, extra_policies=()):
+    """Best candidate for each objective.  A three-price grid with ledger
+    snapshots takes the closed-form scan, which folds the bands exactly and
+    shares its objective-free state between the objectives; everything else
+    takes the exact LP search, one objective at a time.  The fixed prices and
+    any extra policies are scored as candidates too."""
     if v.size == 3 and entries:
-        found = _search_d3(v, f1, f2, q, delta, entries, spec, cfg or _DEFAULT_CFG)
+        found = _search_d3(v, f1, f2, q, delta, entries, specs, cfg or _DEFAULT_CFG)
     else:
-        found = _search_lp(v, f1, f2, q, delta, entries, spec)
+        found = [_search_lp(v, f1, f2, q, delta, entries, spec) for spec in specs]
     policies = [(fixed_price_policy(v.size, i), True) for i in range(v.size)]
     policies += [(pol, False) for pol in extra_policies]
-    return _select_best([found] + _explicit_rows(v, f1, f2, q, delta, entries, policies, spec))
+    return [_select_best([row] + _explicit_rows(v, f1, f2, q, delta, entries, policies, spec))
+            for row, spec in zip(found, specs)]
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +598,7 @@ def solve_relaxed_optimal(market: MarketConfig, delta: float) -> FairSolution:
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     v, f1, f2, q = market.grid.prices, market.accept.group1, market.accept.group2, market.q
-    best = _search(v, f1, f2, q, delta, [], _Objective(np.r_[q * v * f1, (1.0 - q) * v * f2]))
+    best, = _search(v, f1, f2, q, delta, [], [_Objective(np.r_[q * v * f1, (1.0 - q) * v * f2])])
     if best is None:  # unreachable: fixed prices are always feasible here
         raise RuntimeError("no feasible policy found")
     policy = _clean_pair(best.pi1, best.pi2)
@@ -604,7 +622,7 @@ def empirical_optimizer(fhat: AcceptanceModel, ledger: EliminationLedger, delta_
     f1, f2 = fhat.group1, fhat.group2
     spec = _Objective(np.r_[q * v * f1, (1.0 - q) * v * f2])
     extras = (incumbent,) if incumbent is not None else ()
-    row = _search(v, f1, f2, q, delta_s, list(ledger.entries), spec, cfg, extras)
+    row, = _search(v, f1, f2, q, delta_s, list(ledger.entries), [spec], cfg, extras)
     if row is not None:
         return OptimizerResult(_clean_pair(row.pi1, row.pi2), row.revenue, row.point)
     # Nothing clears the ledger: fall back to the best fixed price, flagged.
@@ -614,41 +632,56 @@ def empirical_optimizer(fhat: AcceptanceModel, ledger: EliminationLedger, delta_
                            ParamPoint(float(v[i]), 0.0), ledger_infeasible=True)
 
 
-def max_probability_policy(price_index: int, group: int, fhat: AcceptanceModel,
-                           ledger: EliminationLedger, delta_s: float,
-                           cfg: Optional[OracleConfig] = None) -> MaxProbResult:
-    """Find the surviving policy putting the most weight on one grid price.
+def max_probability_policies(probes: Sequence[tuple[int, int]], fhat: AcceptanceModel,
+                             ledger: EliminationLedger, delta_s: float,
+                             cfg: Optional[OracleConfig] = None) -> list[MaxProbResult]:
+    """Find, for each probe, the surviving policy putting the most weight on
+    one grid price.
 
     Args:
-        price_index: grid index whose weight is maximized.
-        group: 1 or 2, whose distribution is probed.
+        probes: (price_index, group) pairs; the grid index whose weight is
+            maximized and the group (1 or 2) whose distribution is probed.
         fhat: current acceptance estimates (candidate generation anchor).
         ledger: elimination snapshots every candidate must clear.
         delta_s: fairness band for candidate generation under ``fhat``
             (normally the latest snapshot's band).
 
-    Ties on the achieved weight are broken toward higher estimated revenue,
-    then fixed-price policies, then lexicographically smallest weights.  If
-    no candidate survives the ledger, ``achieved_prob`` is 0 and the result
-    is flagged.
+    The probes share the surviving set, so on three prices they are scored
+    against one scan of it.  Each result is the one
+    :func:`max_probability_policy` gives for its probe: ties on the achieved
+    weight are broken toward higher estimated revenue, then fixed-price
+    policies, then lexicographically smallest weights.  If no candidate
+    survives the ledger, ``achieved_prob`` is 0 and the result is flagged.
     """
     v, q = ledger.grid.prices, ledger.q
     d = v.size
-    if not 0 <= price_index < d:
-        raise ValueError(f"price_index {price_index} out of range for d={d}")
-    if group not in (1, 2):
-        raise ValueError("group must be 1 or 2")
+    f1, f2 = fhat.group1, fhat.group2
+    specs = []
+    for price_index, group in probes:
+        if not 0 <= price_index < d:
+            raise ValueError(f"price_index {price_index} out of range for d={d}")
+        if group not in (1, 2):
+            raise ValueError("group must be 1 or 2")
+        c = np.zeros(2 * d)
+        c[(group - 1) * d + price_index] = 1.0
+        # A group-1 probe spends group 2's segment slack on revenue.
+        specs.append(_Objective(c, t_coef=v * f2 if group == 1 else None))
     if delta_s < 0.0:
         raise ValueError("delta_s must be >= 0")
-    f1, f2 = fhat.group1, fhat.group2
-    c = np.zeros(2 * d)
-    c[(group - 1) * d + price_index] = 1.0
-    # A group-1 probe spends group 2's segment slack on revenue.
-    spec = _Objective(c, t_coef=v * f2 if group == 1 else None)
-    best = _search(v, f1, f2, q, delta_s, list(ledger.entries), spec, cfg)
-    if best is None:
-        return MaxProbResult(None, 0.0, None, ledger_infeasible=True)
-    return MaxProbResult(_clean_pair(best.pi1, best.pi2), float(best.value), best.point)
+    if not specs:
+        return []
+    return [MaxProbResult(None, 0.0, None, ledger_infeasible=True) if best is None
+            else MaxProbResult(_clean_pair(best.pi1, best.pi2), float(best.value), best.point)
+            for best in _search(v, f1, f2, q, delta_s, list(ledger.entries), specs, cfg)]
+
+
+def max_probability_policy(price_index: int, group: int, fhat: AcceptanceModel,
+                           ledger: EliminationLedger, delta_s: float,
+                           cfg: Optional[OracleConfig] = None) -> MaxProbResult:
+    """Find the surviving policy putting the most weight on one grid price:
+    :func:`max_probability_policies` with the single probe
+    ``(price_index, group)``."""
+    return max_probability_policies([(price_index, group)], fhat, ledger, delta_s, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,15 @@ def test_compare_lb_reports_the_oracle_gap(tmp_path, capsys):
     assert "proposed means differ" in capsys.readouterr().out
 
 
+def test_compare_lb_checks_eps_before_any_episode(monkeypatch, capsys):
+    def no_cells(payloads):
+        raise AssertionError("episodes ran before eps was checked")
+
+    monkeypatch.setattr("fairprice.cli._run_cells", no_cells)
+    assert main(["compare-lb", "--eps", "0.1", "-T", "2000", "--seeds", "2"]) == 2
+    assert "eps must lie in [0, 0.05]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # top-level parser behavior
 # ---------------------------------------------------------------------------

@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from fairprice import FpaAgent, FpaConfig, example1_market, run_episode
+import fairprice.fpa
+from fairprice import (
+    FpaAgent,
+    FpaConfig,
+    example1_market,
+    max_probability_policy,
+    run_episode,
+    write_summary_json,
+    write_trace_csv,
+)
 from fairprice.fpa import (
     DegenerateDemandError,
     ProtocolError,
@@ -221,3 +230,30 @@ def test_identical_configs_propose_identically():
             agent.observe(int(g), idx, bool(acc))
             seen[which].append(idx)
     assert seen[0] == seen[1]
+
+
+def test_batched_probes_write_the_single_calls_bytes(tmp_path, monkeypatch):
+    """An epoch's probes share one scan; probing one at a time must give the
+    same trace and summary bytes."""
+    market = example1_market()
+
+    def outputs(name):
+        agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=10_000, seed=0))
+        trace = run_episode(agent, market, 10_000, seed=0, record_every=1,
+                            oracle_revenue=74.0 / 145.0)
+        write_trace_csv(trace, str(tmp_path / f"{name}.csv"))
+        write_summary_json(trace.summary(), str(tmp_path / f"{name}.json"))
+        return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+    batched = outputs("batched")
+    calls = []
+
+    def one_at_a_time(probes, fhat, ledger, delta_s, cfg=None):
+        calls.append(len(probes))
+        return [max_probability_policy(i, g, fhat, ledger, delta_s, cfg) for i, g in probes]
+
+    monkeypatch.setattr(fairprice.fpa, "max_probability_policies", one_at_a_time)
+    single = outputs("single")
+    assert len(calls) == 4 and sum(calls) > len(calls)
+    assert batched[0] == single[0], "trace CSV differs"
+    assert batched[1] == single[1], "summary JSON differs"

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from fairprice import (
     AcceptanceModel,
     EliminationLedger,
+    FpaAgent,
+    FpaConfig,
     LedgerEntry,
     MarketConfig,
+    OracleConfig,
     PolicyPair,
     PriceGrid,
     alpha_bounds,
@@ -20,9 +23,11 @@ from fairprice import (
     example_revenue_surface,
     expected_revenue,
     fixed_price_policy,
+    max_probability_policies,
     max_probability_policy,
     member,
     procedural_gap,
+    run_episode,
     solve_fair_optimal,
     solve_relaxed_optimal,
     substantive_gap,
@@ -364,3 +369,73 @@ def test_probe_policy_argument_checks(example_market):
         max_probability_policy(0, 0, example_market.accept, ledger, 0.02)
     with pytest.raises(ValueError):
         max_probability_policy(0, 1, example_market.accept, ledger, -0.02)
+
+
+# ---------------------------------------------------------------------------
+# batched probes: the same results as one call per probe
+# ---------------------------------------------------------------------------
+
+def _assert_batch_matches_single_calls(fhat, ledger, delta_s, cfg=None):
+    probes = [(i, g) for g in (1, 2) for i in range(ledger.grid.d)]
+    batch = max_probability_policies(probes, fhat, ledger, delta_s, cfg)
+    assert len(batch) == len(probes)
+    for (i, g), got in zip(probes, batch):
+        want = max_probability_policy(i, g, fhat, ledger, delta_s, cfg)
+        assert got.ledger_infeasible == want.ledger_infeasible
+        assert got.achieved_prob == want.achieved_prob
+        assert got.point == want.point
+        assert (got.policy is None) == (want.policy is None)
+        if want.policy is not None:
+            for grp in (1, 2):
+                assert np.array_equal(got.policy.weights(grp), want.policy.weights(grp))
+    return batch
+
+
+def test_batched_probes_match_single_calls_on_every_ledger_prefix(example_market):
+    """The d = 3 scan path, on the ledgers an example run builds."""
+    horizon = 100_000
+    agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
+                               horizon=horizon, seed=0))
+    run_episode(agent, example_market, horizon, seed=0, record_every=horizon)
+    entries = agent.ledger.entries
+    assert len(entries) >= 5
+    for n in range(1, len(entries) + 1):
+        prefix = EliminationLedger(agent.ledger.grid, agent.ledger.q, list(entries[:n]))
+        latest = prefix.latest
+        batch = _assert_batch_matches_single_calls(latest.fhat, prefix, latest.delta_s,
+                                                   agent.oracle_cfg)
+        assert not any(res.ledger_infeasible for res in batch)
+
+
+@pytest.mark.parametrize("delta_s", [0.0, 0.02])
+def test_batched_probes_match_single_calls_through_two_refine_windows(example_market, delta_s):
+    """A pinned (delta = 0) and a floating group-2 segment; the second window
+    is centred on each probe's first refined row."""
+    cfg = OracleConfig(grid_steps_vs=200, grid_steps_alpha=60, refine_iters=3)
+    ledger = _ledger_with(example_market, 0.02, 0.505)
+    batch = _assert_batch_matches_single_calls(example_market.accept, ledger, delta_s, cfg)
+    assert all(0.0 < res.achieved_prob < 1.0 for res in batch)
+
+
+def test_batched_probes_match_single_calls_on_a_d4_ledger():
+    """The LP path, one objective at a time."""
+    market = MarketConfig(
+        grid=PriceGrid(np.array([0.4, 0.6, 0.8, 1.0])),
+        accept=AcceptanceModel(np.array([0.9, 0.7, 0.5, 0.3]),
+                               np.array([0.8, 0.75, 0.4, 0.35])),
+        q=0.4)
+    floor = solve_fair_optimal(market).revenue - 0.05
+    batch = _assert_batch_matches_single_calls(
+        market.accept, _ledger_with(market, 0.05, floor), 0.05)
+    assert not any(res.ledger_infeasible for res in batch)
+
+
+def test_batched_probes_match_single_calls_when_nothing_survives(example_market):
+    batch = _assert_batch_matches_single_calls(
+        example_market.accept, _ledger_with(example_market, 0.02, 0.99), 0.02)
+    assert all(res.ledger_infeasible and res.policy is None for res in batch)
+
+
+def test_batched_probes_accept_an_empty_probe_list(example_market):
+    ledger = _ledger_with(example_market, 0.02, 0.4)
+    assert max_probability_policies([], example_market.accept, ledger, 0.02) == []
