@@ -67,10 +67,6 @@ DEFAULT_RELAXATION_L = 0.2
 # small-horizon exploration collapses onto fixed prices for B_R >= 0.6).
 SCALED_RADIUS_REVENUE = 0.5
 SCALED_RADIUS_FAIRNESS = 0.4
-# Resolution of the d = 3 ledger scan in the agent's searches (the others are
-# exact); the oracle default is finer, but inside the loop this is accurate
-# well past the radii that drive elimination.
-AGENT_ORACLE_CFG = OracleConfig(grid_steps_vs=500, grid_steps_alpha=120, refine_iters=2)
 
 CONSTANT_MODES = ("scaled", "theory")
 
@@ -183,7 +179,7 @@ class FpaAgent:
 
     def __init__(self, cfg: FpaConfig, oracle_cfg: Optional[OracleConfig] = None):
         self.cfg = cfg
-        self.oracle_cfg = oracle_cfg or AGENT_ORACLE_CFG
+        self.oracle_cfg = oracle_cfg
         self.d = cfg.grid.d
         self.rng = random.Random(stream_seed(cfg.seed, "agent"))
         self.ledger = EliminationLedger(cfg.grid, cfg.q)
@@ -438,15 +434,17 @@ class FpaAgent:
         return AcceptanceModel.from_estimates(fhat[0], fhat[1], f_min=self.fmin_hat)
 
     def _finalize_epoch(self) -> None:
+        fhat = self._estimates()
+        params = self._params
+        opt = empirical_optimizer(fhat, self.ledger, params.delta_s,
+                                  incumbent=self.incumbent, cfg=self.oracle_cfg)
+        floor = max(opt.revenue_hat - params.delta_r
+                    - self.cfg.relaxation_l * params.delta_s, -1.0)
         if self._epoch_truncated:
             # The sample cannot support the nominal radii; keep the ledger as
             # is (the run is ending) and only report, in the run metadata,
             # what the next elimination would have looked like.
             self.flags.append(f"epoch_truncated:e{self.epoch}")
-            fhat = self._estimates()
-            params = self._params
-            opt = empirical_optimizer(fhat, self.ledger, params.delta_s,
-                                      incumbent=self.incumbent, cfg=self.oracle_cfg)
             self.truncated_diagnostic = {
                 "epoch": self.epoch,
                 "rounds_used": sum(int(x) for x in self._m.sum(axis=0)),
@@ -454,19 +452,12 @@ class FpaAgent:
                 "fhat_group2": [float(x) for x in fhat.group2],
                 "delta_r": params.delta_r,
                 "delta_s": params.delta_s,
-                "revenue_floor": max(opt.revenue_hat - params.delta_r
-                                     - self.cfg.relaxation_l * params.delta_s, -1.0),
+                "revenue_floor": floor,
                 "optimizer_ledger_infeasible": opt.ledger_infeasible,
             }
             return
-        fhat = self._estimates()
-        params = self._params
-        opt = empirical_optimizer(fhat, self.ledger, params.delta_s,
-                                  incumbent=self.incumbent, cfg=self.oracle_cfg)
         if opt.ledger_infeasible:
             self.flags.append(f"optimizer_ledger_infeasible:e{self.epoch}")
-        floor = max(opt.revenue_hat - params.delta_r
-                    - self.cfg.relaxation_l * params.delta_s, -1.0)
         self.ledger.append(LedgerEntry(self.epoch, fhat, params.delta_s, floor))
         self.incumbent = opt.policy
 

@@ -20,6 +20,11 @@ closed-form solutions folds them exactly (fixing pi1 per cell makes them
 linear in pi2); on other grids each anchor's LP optimum is post-filtered,
 so an anchor is lost when its optimum fails an older band even if another
 policy there would pass.  That is the approximation that remains.
+
+Each constraint is built once, at its stated value; ``MEMBER_TOL`` is slack
+only where membership is tested (:func:`member`, the LP path's band filter,
+hand-picked candidates), so every policy a search returns is a member of the
+ledger it was searched under, with room for renormalization's rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .core import (
 )
 from .linsolve import OPTIMAL, LinearProgram, lp_maximize, solve_linear_system
 
-# Slack added to every ledger membership comparison.
+# Slack of every ledger membership test (search constraints carry none).
 MEMBER_TOL = 1e-9
 # Candidates within this band of the best are considered tied.
 TIE_TOL = 1e-9
@@ -63,9 +68,9 @@ _NONNEG_TOL = 1e-12
 class OracleConfig:
     """Resolution of the d = 3 scan under a ledger; the exact search has none."""
 
-    grid_steps_vs: int = 2000
-    grid_steps_alpha: int = 400
-    refine_iters: int = 3
+    grid_steps_vs: int = 500
+    grid_steps_alpha: int = 120
+    refine_iters: int = 2
 
     def __post_init__(self):
         if self.grid_steps_vs < 2 or self.grid_steps_alpha < 2:
@@ -150,10 +155,16 @@ class EliminationLedger:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie strictly inside (0, 1)")
+        for entry in self.entries:
+            self._check_estimates(entry.fhat)
+
+    def _check_estimates(self, fhat: AcceptanceModel) -> None:
+        """Raise ValueError unless ``fhat`` has one estimate per grid price."""
+        if fhat.d != self.grid.d:
+            raise ValueError(f"estimates for {fhat.d} prices on a ledger of {self.grid.d}")
 
     def append(self, entry: LedgerEntry) -> None:
-        if entry.fhat.d != self.grid.d:
-            raise ValueError("entry grid size disagrees with the ledger")
+        self._check_estimates(entry.fhat)
         self.entries.append(entry)
 
     @property
@@ -171,19 +182,18 @@ class EliminationLedger:
 # membership
 # ---------------------------------------------------------------------------
 
-def _member_mask(v: np.ndarray, q: float, entries: Sequence[LedgerEntry], dot1, dot2):
-    """Ledger screen of policies given by their products, dot1(u) = pi1 @ u
-    and dot2(u) = pi2 @ u, elementwise over whatever stack they return."""
-    ok = True
+def _clears_ledger(v: np.ndarray, q: float, entries: Sequence[LedgerEntry],
+                   w1: np.ndarray, w2: np.ndarray) -> bool:
+    """True when the weights clear every snapshot's band and floor, each
+    with MEMBER_TOL to spare."""
     for entry in entries:
         f1, f2 = entry.fhat.group1, entry.fhat.group2
-        num1, num2 = dot1(v * f1), dot2(v * f2)
-        gap = num1 / dot1(f1)
-        gap -= num2 / dot2(f2)
-        num1 *= q  # now the revenue
-        num1 += (1.0 - q) * num2
-        ok = ok & (np.abs(gap) <= entry.delta_s + MEMBER_TOL) & (num1 >= entry.revenue_floor - MEMBER_TOL)
-    return ok
+        num1, num2 = float(w1 @ (v * f1)), float(w2 @ (v * f2))
+        gap = num1 / float(w1 @ f1) - num2 / float(w2 @ f2)
+        revenue = q * num1 + (1.0 - q) * num2
+        if abs(gap) > entry.delta_s + MEMBER_TOL or revenue < entry.revenue_floor - MEMBER_TOL:
+            return False
+    return True
 
 
 def member(policy: PolicyPair, ledger: EliminationLedger) -> bool:
@@ -192,7 +202,7 @@ def member(policy: PolicyPair, ledger: EliminationLedger) -> bool:
     v = ledger.grid.prices
     w1, w2 = policy.group1.weights, policy.group2.weights
     return (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL
-            and bool(_member_mask(v, ledger.q, ledger.entries, w1.dot, w2.dot)))
+            and _clears_ledger(v, ledger.q, ledger.entries, w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -251,40 +261,35 @@ def _tighten(a, b, t_lo, t_hi, feas):
     return t_lo, t_hi, feas
 
 
-def _float_group(v: np.ndarray, f: np.ndarray, vs_vals: np.ndarray, vr: np.ndarray,
-                 delta: float):
-    """Group-2 solutions under the relaxation band, as segments pi(t) =
-    a + vr * b + t * n_dir along the common null direction of the sum and
-    proposed-mean rows; returns (a, b, n_dir, t_lo, t_hi, feasible)."""
+def _group2_segment(v, q, f2, vs_vals, vr, delta, entries, dot1):
+    """Group 2 as segments pi(t) = a + vr * b + t * n_dir along the common
+    null direction of the sum and proposed-mean rows, with every group-2 row
+    folded into [t_lo, t_hi]: nonnegativity, the current band (delta = 0
+    shrinks the segment to a point), and each snapshot's band and floor.
+
+    With pi1 fixed per cell a snapshot's rows are linear in pi2 (the gap
+    ratio multiplied through by the positive acceptance mass), so the fold
+    is exact; its band rows are +-(gap, gap_dir) - width * (base_1, dir_1).
+    Returns (a, b, n_dir, t_lo, t_hi, feasible).
+    """
     n_dir = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
     p, s, det = _adjugate_cols(v, n_dir)  # det = |n|^2 > 0 for a strict grid
     a, b = (np.broadcast_to(m / det, (vs_vals.size, 3)) for m in (p, s))
+    base2 = _affine_dot(a, b, vr)
     t_lo, t_hi = np.full(vr.shape, -np.inf), np.full(vr.shape, np.inf)
     feas = np.ones(vr.shape, dtype=bool)
-    for i, e_i in enumerate(np.eye(3)):  # weights stay nonnegative along the segment
-        t_lo, t_hi, feas = _tighten(_affine_dot(a, b, vr)(-e_i), -n_dir[i], t_lo, t_hi, feas)
-    band = (v[None, :] - vs_vals[:, None]) * f[None, :]
-    for w in (band - delta * f[None, :], -(band + delta * f[None, :])):
+    for i, e_i in enumerate(np.eye(3)):
+        t_lo, t_hi, feas = _tighten(base2(-e_i), -n_dir[i], t_lo, t_hi, feas)
+    band = (v[None, :] - vs_vals[:, None]) * f2[None, :]
+    for w in (band - delta * f2[None, :], -(band + delta * f2[None, :])):
         rows = vr * (w @ b[0])[:, None]
         rows += (w @ a[0])[:, None]
         t_lo, t_hi, feas = _tighten(rows, (w @ n_dir)[:, None], t_lo, t_hi, feas)
-    return a, b, n_dir, t_lo, t_hi, feas & (t_lo <= t_hi + _NONNEG_TOL)
-
-
-def _entry_interval_rows(v, q, entries, dot1, base2, n_dir, t_lo, t_hi, feas):
-    """Fold every ledger snapshot into the group-2 segment interval.
-
-    With pi1 fixed per cell, each snapshot's fairness band and revenue floor
-    are linear in pi2 (the gap ratio multiplied through by the positive
-    acceptance mass), so they tighten [t_lo, t_hi] exactly.  The two band
-    rows are +-(gap, gap_dir) - width * (base_1, dir_1) on the segment.
-    """
     for entry in entries:
         g1, g2 = entry.fhat.group1, entry.fhat.group2
-        vg2 = v * g2
+        vg2, width = v * g2, entry.delta_s
         num1 = dot1(v * g1)
         m1 = num1 / dot1(g1)
-        width = entry.delta_s + MEMBER_TOL
         base_v, base_1 = base2(vg2), base2(g2)
         dir_v, dir_1 = float(vg2 @ n_dir), float(g2 @ n_dir)
         gap, gap_dir = base_v - m1 * base_1, dir_v - m1 * dir_1
@@ -292,9 +297,9 @@ def _entry_interval_rows(v, q, entries, dot1, base2, n_dir, t_lo, t_hi, feas):
         for sign in (1.0, -1.0):
             t_lo, t_hi, feas = _tighten(sign * gap - base_1, sign * gap_dir - width * dir_1,
                                         t_lo, t_hi, feas)
-        a = (entry.revenue_floor - MEMBER_TOL) - q * num1 - (1.0 - q) * base_v
-        t_lo, t_hi, feas = _tighten(a, -(1.0 - q) * dir_v, t_lo, t_hi, feas)
-    return t_lo, t_hi, feas & (t_lo <= t_hi + _NONNEG_TOL)
+        floor = entry.revenue_floor - q * num1 - (1.0 - q) * base_v
+        t_lo, t_hi, feas = _tighten(floor, -(1.0 - q) * dir_v, t_lo, t_hi, feas)
+    return a, b, n_dir, t_lo, t_hi, feas & (t_lo <= t_hi + _NONNEG_TOL)
 
 
 @dataclass
@@ -328,34 +333,22 @@ def _row_from_weights(v, f1, f2, q, value, vs, pi1, pi2, fixed=False) -> _Row:
 def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs) -> list[Optional[_Row]]:
     """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), for each
     objective, or None.  The objective-free state (group-1 rows, the group-2
-    segment with the ledger folded in, the feasible cells at each segment
-    end used) is built once and freed on return.  Weights enter only
-    through products with fixed vectors, so every per-cell array is 2-D."""
+    segment with the ledger folded in) is built once and freed on return.
+    Weights enter only through products with fixed vectors, so every
+    per-cell array is 2-D."""
     vr = vs_vals[:, None] + alpha
     rows = []
     with np.errstate(all="ignore"):
         a1, b1, feas = _pin_group(v, f1, vs_vals, vr)
         dot1 = _affine_dot(a1, b1, vr)
-        if delta == 0.0:
-            a2, b2, feas2 = _pin_group(v, f2, vs_vals, vr)
-            n_dir, ends = np.zeros(3), (np.zeros(vr.shape),) * 2
-        else:
-            a2, b2, n_dir, t_lo, t_hi, feas2 = _float_group(v, f2, vs_vals, vr, delta)
-            if entries:
-                t_lo, t_hi, feas2 = _entry_interval_rows(
-                    v, q, entries, dot1, _affine_dot(a2, b2, vr), n_dir, t_lo, t_hi, feas2)
-            ends = (t_lo, t_hi)
+        a2, b2, n_dir, t_lo, t_hi, feas2 = _group2_segment(v, q, f2, vs_vals, vr, delta,
+                                                           entries, dot1)
         feas &= feas2
-        feas_at = {}  # segment end -> cells feasible and clearing the ledger
         for spec in specs:
             t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
-            end = int(float(t_coef @ n_dir) > 0.0)
-            t = ends[end]
-            dot2 = _affine_dot(a2, b2, vr, t, n_dir)
-            value = dot1(spec.c[:3]) + dot2(spec.c[3:])
-            if end not in feas_at:
-                feas_at[end] = feas & _member_mask(v, q, entries, dot1, dot2) if entries else feas
-            score = np.where(feas_at[end] & np.isfinite(value), value, -np.inf)
+            t = t_hi if float(t_coef @ n_dir) > 0.0 else t_lo
+            value = dot1(spec.c[:3]) + _affine_dot(a2, b2, vr, t, n_dir)(spec.c[3:])
+            score = np.where(feas & np.isfinite(value), value, -np.inf)
             i, j = np.unravel_index(int(np.argmax(score)), score.shape)
             if not np.isfinite(score[i, j]):
                 rows.append(None)
@@ -412,7 +405,7 @@ def _anchor_lp(v, f1, f2, q, delta, entries, c, vs) -> LinearProgram:
     a_eq = [np.r_[one, zero], np.r_[zero, one], np.r_[v, -v], np.r_[(v - vs) * f1, zero]]
     b_eq = [1.0, 1.0, 0.0, 0.0]
     a_ub = [np.r_[-q * v * e.fhat.group1, -(1.0 - q) * v * e.fhat.group2] for e in entries]
-    b_ub = [MEMBER_TOL - e.revenue_floor for e in entries]
+    b_ub = [-e.revenue_floor for e in entries]
     band = (v - vs) * f2
     if delta == 0.0:
         a_eq.append(np.r_[zero, band])
@@ -510,7 +503,7 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
             return None
         x = _vertex(lp, res.x)
         pi1, pi2 = x[:d], x[d:]
-        if entries and not _member_mask(v, q, entries, pi1.dot, pi2.dot):
+        if not _clears_ledger(v, q, entries, pi1, pi2):
             return None
         return _row_from_weights(v, f1, f2, q, float(c @ x), float(vs), pi1, pi2)
 
@@ -535,7 +528,7 @@ def _explicit_rows(v, f1, f2, q, delta, entries, policies, spec) -> list[_Row]:
         row = _row_from_weights(v, f1, f2, q, float(spec.c @ np.r_[w1, w2]),
                                 float((v * f1) @ w1) / float(f1 @ w1), w1, w2, fixed)
         if (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL and abs(row.point.beta) <= delta + MEMBER_TOL
-                and (not entries or _member_mask(v, q, entries, w1.dot, w2.dot))):
+                and _clears_ledger(v, q, entries, w1, w2)):
             rows.append(row)
     return rows
 
@@ -618,6 +611,7 @@ def empirical_optimizer(fhat: AcceptanceModel, ledger: EliminationLedger, delta_
     """
     if delta_s < 0.0:
         raise ValueError("delta_s must be >= 0")
+    ledger._check_estimates(fhat)
     v, q = ledger.grid.prices, ledger.q
     f1, f2 = fhat.group1, fhat.group2
     spec = _Objective(np.r_[q * v * f1, (1.0 - q) * v * f2])
@@ -653,6 +647,7 @@ def max_probability_policies(probes: Sequence[tuple[int, int]], fhat: Acceptance
     policies, then lexicographically smallest weights.  If no candidate
     survives the ledger, ``achieved_prob`` is 0 and the result is flagged.
     """
+    ledger._check_estimates(fhat)
     v, q = ledger.grid.prices, ledger.q
     d = v.size
     f1, f2 = fhat.group1, fhat.group2

@@ -19,6 +19,7 @@ from fairprice import (
     closed_form_example_optimum,
     empirical_optimizer,
     eps_family_policy,
+    example1_market,
     example_eps_market,
     example_revenue_surface,
     expected_revenue,
@@ -253,6 +254,15 @@ def test_ledger_entry_validation(example_market):
     with pytest.raises(ValueError):
         ledger.append(LedgerEntry(1, acc, 0.1, 0.4))  # d = 3 entry on a d = 2 grid
     assert ledger.latest is None
+    # the same check when the entries come with the ledger or the estimates with a search
+    with pytest.raises(ValueError, match="estimates for 3 prices on a ledger of 2"):
+        EliminationLedger(ledger.grid, 0.3, [LedgerEntry(1, acc, 0.1, 0.4)])
+    fhat2 = AcceptanceModel(np.array([0.6, 0.5]), np.array([0.8, 0.5]))
+    ledger3 = _ledger_with(example_market, 0.02, 0.4)
+    with pytest.raises(ValueError, match="estimates for 2 prices on a ledger of 3"):
+        empirical_optimizer(fhat2, ledger3, 0.02)
+    with pytest.raises(ValueError, match="estimates for 2 prices on a ledger of 3"):
+        max_probability_policies([(0, 1)], fhat2, ledger3, 0.02)
 
 
 def test_membership_screens_band_floor_and_parity(example_market, example_closed_form):
@@ -391,8 +401,19 @@ def _assert_batch_matches_single_calls(fhat, ledger, delta_s, cfg=None):
     return batch
 
 
+def _assert_searches_return_members(fhat, ledger, delta_s, cfg=None):
+    """Every probe and the revenue search return a member of the ledger they
+    were searched under: each constraint is built at its stated value."""
+    probes = [(i, g) for g in (1, 2) for i in range(ledger.grid.d)]
+    for (i, g), res in zip(probes, max_probability_policies(probes, fhat, ledger, delta_s, cfg)):
+        assert not res.ledger_infeasible and member(res.policy, ledger), (i, g)
+    opt = empirical_optimizer(fhat, ledger, delta_s, cfg=cfg)
+    assert not opt.ledger_infeasible and member(opt.policy, ledger)
+
+
 def test_batched_probes_match_single_calls_on_every_ledger_prefix(example_market):
-    """The d = 3 scan path, on the ledgers an example run builds."""
+    """The d = 3 scan path, on the ledgers an example run builds; every
+    search returns a member of the prefix it was searched under."""
     horizon = 100_000
     agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
                                horizon=horizon, seed=0))
@@ -405,11 +426,30 @@ def test_batched_probes_match_single_calls_on_every_ledger_prefix(example_market
         batch = _assert_batch_matches_single_calls(latest.fhat, prefix, latest.delta_s,
                                                    agent.oracle_cfg)
         assert not any(res.ledger_infeasible for res in batch)
+        _assert_searches_return_members(latest.fhat, prefix, latest.delta_s, agent.oracle_cfg)
+
+
+D4_MARKET = MarketConfig(
+    grid=PriceGrid(np.array([0.4, 0.6, 0.8, 1.0])),
+    accept=AcceptanceModel(np.array([0.9, 0.7, 0.5, 0.3]), np.array([0.8, 0.75, 0.4, 0.35])),
+    q=0.4)
+
+
+@pytest.mark.parametrize("market, band, below_optimum, delta_s", [
+    (example1_market(), 0.02, 0.01, 0.0),
+    (example1_market(), 0.02, 0.01, 0.02),
+    (D4_MARKET, 0.05, 0.02, 0.05),
+], ids=["d3-pinned", "d3-band", "d4-lp"])
+def test_searches_return_members_of_a_one_snapshot_ledger(market, band, below_optimum, delta_s):
+    """Floors just under the optimum bind where the searches end up; the d = 3
+    scan and the d = 4 LP path must still land inside them."""
+    floor = solve_fair_optimal(market).revenue - below_optimum
+    _assert_searches_return_members(market.accept, _ledger_with(market, band, floor), delta_s)
 
 
 @pytest.mark.parametrize("delta_s", [0.0, 0.02])
 def test_batched_probes_match_single_calls_through_two_refine_windows(example_market, delta_s):
-    """A pinned (delta = 0) and a floating group-2 segment; the second window
+    """A point (delta = 0) and a floating group-2 segment; the second window
     is centred on each probe's first refined row."""
     cfg = OracleConfig(grid_steps_vs=200, grid_steps_alpha=60, refine_iters=3)
     ledger = _ledger_with(example_market, 0.02, 0.505)
@@ -419,11 +459,7 @@ def test_batched_probes_match_single_calls_through_two_refine_windows(example_ma
 
 def test_batched_probes_match_single_calls_on_a_d4_ledger():
     """The LP path, one objective at a time."""
-    market = MarketConfig(
-        grid=PriceGrid(np.array([0.4, 0.6, 0.8, 1.0])),
-        accept=AcceptanceModel(np.array([0.9, 0.7, 0.5, 0.3]),
-                               np.array([0.8, 0.75, 0.4, 0.35])),
-        q=0.4)
+    market = D4_MARKET
     floor = solve_fair_optimal(market).revenue - 0.05
     batch = _assert_batch_matches_single_calls(
         market.accept, _ledger_with(market, 0.05, floor), 0.05)
