@@ -41,11 +41,7 @@ from .oracle import (
     FairSolution,
     LedgerEntry,
     OracleConfig,
-    alpha_bounds,
-    closed_form_example_optimum,
     empirical_optimizer,
-    eps_family_policy,
-    example_revenue_surface,
     max_probability_policies,
     max_probability_policy,
     member,
@@ -56,9 +52,13 @@ from .sim import (
     BASELINE_KINDS,
     RoundRecord,
     RunTrace,
+    alpha_bounds,
     baseline_agent,
+    closed_form_example_optimum,
+    eps_family_policy,
     example1_market,
     example_eps_market,
+    example_revenue_surface,
     lowerbound_family_market,
     run_episode,
     write_summary_json,

@@ -47,10 +47,12 @@ from .fpa import (
     FpaConfig,
     ProtocolError,
 )
-from .oracle import closed_form_example_optimum, solve_fair_optimal
+from .oracle import solve_fair_optimal
 from .sim import (
     BASELINE_KINDS,
+    CLOSED_FORM_EPS_MAX,
     baseline_agent,
+    closed_form_example_optimum,
     example1_market,
     example_eps_market,
     lowerbound_family_market,
@@ -271,9 +273,10 @@ def cmd_solve(args) -> int:
     for g in (1, 2):
         weights = " ".join(f"{x:.6f}" for x in solution.policy.weights(g))
         print(f"group{g}   [{weights}]")
-    if env["market_file"] is None and env["preset"] in ("example1", "example-eps"):
-        closed = closed_form_example_optimum(env["eps"] if env["preset"] == "example-eps"
-                                             else 0.0)
+    eps = env["eps"] if env["preset"] == "example-eps" else 0.0
+    if (env["market_file"] is None and env["preset"] in ("example1", "example-eps")
+            and 0.0 <= eps <= CLOSED_FORM_EPS_MAX):
+        closed = closed_form_example_optimum(eps)
         gap = abs(closed.revenue - solution.revenue)
         report["closed_form_revenue"] = closed.revenue
         report["closed_form_gap"] = gap

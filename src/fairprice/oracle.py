@@ -6,29 +6,31 @@ fixed, the fair problem is one LP over ``(pi1, pi2)``: both sum to one,
 their proposed means are equal (the premium ``alpha`` of the shared mean
 ``v_r = v_s + alpha`` is free), group 1's accepted mean is ``v_s``, and
 group 2's is pinned to it (S = 0) or held in the linearized band
-``|v'F2 pi2 - v_s * 1'F2 pi2| <= delta * 1'F2 pi2``.  The exact search
-solves that LP on a fixed grid of anchors and polishes the best ones inside
-their LP basis, where the value is a ratio of polynomials in ``v_s``
-(Gass-Saaty parametric LP): its best ``v_s`` is a breakpoint or a
-stationary point, and the LP is re-solved there.
+``|v'F2 pi2 - v_s * 1'F2 pi2| <= delta * 1'F2 pi2``.  The exact search walks
+``v_s`` from ``v_1`` to ``v_d`` through that LP's optimal bases (Gass-Saaty
+parametric LP): inside one basis the value is a ratio of polynomials in
+``v_s``, best at a breakpoint or a stationary point, so one LP solve per
+basis replaces any grid of anchors.
 
 Candidates are screened against every snapshot of an elimination ledger
 (fairness band and revenue floor).  Floors are LP rows.  Bands compare
 accepted means under each snapshot's own estimates, not linear in
 ``(pi1, pi2)`` jointly: on three prices, a dense ``(v_s, alpha)`` scan of
 closed-form solutions folds them exactly (fixing pi1 per cell makes them
-linear in pi2); on other grids each anchor's LP optimum is post-filtered,
-so an anchor is lost when its optimum fails an older band even if another
-policy there would pass.  That is the approximation that remains.
+linear in pi2); on other grids the walk keeps the LP optimum at each
+``v_s`` only where it clears every band, exactly along ``v_s``, so a ``v_s``
+is lost when its optimum fails an older band even if another policy there
+would pass.  That is the approximation that remains.
 
 Each constraint is built once, at its stated value; ``MEMBER_TOL`` is slack
-only where membership is tested (:func:`member`, the LP path's band filter,
+only where membership is tested (:func:`member`, the walk's band filter,
 hand-picked candidates), so every policy a search returns is a member of the
 ledger it was searched under, with room for renormalization's rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,7 +46,7 @@ from .core import (
     expected_revenue,
     fixed_price_policy,
 )
-from .linsolve import OPTIMAL, LinearProgram, lp_maximize, solve_linear_system
+from .linsolve import OPTIMAL, LinearProgram, lp_maximize
 
 # Slack of every ledger membership test (search constraints carry none).
 MEMBER_TOL = 1e-9
@@ -53,10 +55,12 @@ TIE_TOL = 1e-9
 # Grid cells kept on each side of an argmax when a scan window shrinks.
 _REFINE_WINDOW = 12
 _REFINE_STEPS = 241
-# The exact search solves the anchor LP at this many evenly spaced v_s (plus
-# the grid prices), then polishes the bases of the best few local maxima.
-_SEED_STEPS = 200
-_POLISH_SEEDS = 3
+# The walk in v_s re-solves this far (times the price range) past each
+# breakpoint, and ten times farther after each basis it cannot follow.
+_NUDGE = 1e-9
+# Where each basis is fitted, in u = (v_s - mid) / half on [-1, 1]: five
+# nodes fix a quartic, a margin over the fitted polynomials' degree 3.
+_FIT_NODES = np.linspace(-1.0, 1.0, 5)
 # Revenue's weight in the anchor LP, so ties on a probe's weight go to revenue
 # as in _select_best; it can cost the objective at most 1e-7.
 _REVENUE_TIE = 1e-7
@@ -416,26 +420,43 @@ def _anchor_lp(v, f1, f2, q, delta, entries, c, vs) -> LinearProgram:
     return LinearProgram(c, a_ub=a_ub or None, b_ub=b_ub or None, a_eq=a_eq, b_eq=b_eq)
 
 
-def _split_rows(lp: LinearProgram, x: np.ndarray, tight=None):
-    """(a, b) of the rows active at x (equalities, inequalities without slack),
-    (a, b) of the others, and the tight mask, which a later call can reuse."""
+def _stacked(lp: LinearProgram):
+    """Every row of lp, equalities first, as (a, b)."""
     a_ub = np.empty((0, lp.n)) if lp.a_ub is None else lp.a_ub
     b_ub = np.empty(0) if lp.b_ub is None else lp.b_ub
-    if tight is None:
-        tight = b_ub - a_ub @ x <= _NONNEG_TOL
-    return (np.vstack([lp.a_eq, a_ub[tight]]), np.r_[lp.b_eq, b_ub[tight]],
-            a_ub[~tight], b_ub[~tight], tight)
+    return np.vstack([lp.a_eq, a_ub]), np.r_[lp.b_eq, b_ub]
+
+
+def _active(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """Rows of _stacked(lp) active at x: equalities, inequalities without slack."""
+    (a, b), n_eq = _stacked(lp), lp.b_eq.size
+    return np.r_[np.arange(n_eq), n_eq + np.flatnonzero(b[n_eq:] - a[n_eq:] @ x <= _NONNEG_TOL)]
 
 
 def _vertex(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """x re-solved from its active rows over its support: one vertex gives
     the same bits whatever the pivots or the rows that do not bind there (a
     wider band), so the relaxed optimum cannot dip by rounding as it grows."""
-    a, b, *_ = _split_rows(lp, x)
-    support = x > _NONNEG_TOL
+    (a, b), active, support = _stacked(lp), _active(lp, x), x > _NONNEG_TOL
     out = np.zeros_like(x)
-    out[support] = np.linalg.lstsq(a[:, support], b, rcond=None)[0]
+    out[support] = np.linalg.lstsq(a[active][:, support], b[active], rcond=None)[0]
     return out
+
+
+def _phase1_lp(lp: LinearProgram, d: int, n_floors: int) -> LinearProgram:
+    """The anchor LP's least violation: max -t with |v'pi1 - v'pi2| <= t and
+    each floor short by at most t, the other rows kept (lp's rows are in
+    _anchor_lp's order).  pi1's first weight is one minus the others, so
+    (x, t) still takes 2d variables."""
+    a_ub, b_ub = (m[lp.b_eq.size:] for m in _stacked(lp))
+    n_eq = lp.b_eq.size - 2  # group 1's sum and the mean equality leave
+    a = np.vstack([lp.a_eq[[1, 3]], lp.a_eq[4:], lp.a_eq[2], -lp.a_eq[2], a_ub, -np.eye(2 * d)[0]])
+    b = np.r_[lp.b_eq[[1, 3]], lp.b_eq[4:], 0.0, 0.0, b_ub, 0.0] - a[:, 0]
+    a[:, 1:d] -= a[:, :1]
+    t = np.r_[np.zeros(n_eq), -np.ones(2 + n_floors), np.zeros(b_ub.size - n_floors + 1)]
+    a = np.c_[a[:, 1:], t]
+    return LinearProgram(np.r_[np.zeros(2 * d - 1), -1.0], a_ub=a[n_eq:], b_ub=b[n_eq:],
+                         a_eq=a[:n_eq], b_eq=b[:n_eq])
 
 
 def _real_roots(poly: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -448,74 +469,150 @@ def _real_roots(poly: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return roots[(roots >= lo) & (roots <= hi)]
 
 
-def _basis_anchors(lp_at, x: np.ndarray, vs: float, v: np.ndarray) -> np.ndarray:
-    """Anchors in [v_1, v_d] where the LP's value can peak while x's basis holds.
+def _fit_basis(a_n, b_n, c, n_eq, rows, cols) -> np.ndarray:
+    """A basis (its rows solved over its columns) fitted in u from the rows
+    at the fit nodes.  At most three rows move with v_s, affinely (group 1's
+    anchor, group 2's pin or band edges), so by Cramer's rule its weights
+    are P_j / D, the other rows' slacks R_i / D, the other columns' reduced
+    costs Q_k / D (bordered determinants) and its inequalities' duals Y_i / D,
+    all of degree <= 3.  Returns the coefficients of D, P, R, -Q and Y, one
+    column each: the basis is optimal where all after D have D's sign."""
+    m, others = len(cols), [k for k in range(c.size) if k not in cols]
+    a = a_n[:, rows][:, :, cols]
+    duals = [p for p, i in enumerate(rows) if i >= n_eq]
+    sq = np.repeat(a[:, None], 1 + m + len(duals), axis=1)
+    for j in range(m):
+        sq[:, 1 + j, :, j] = b_n[:, rows]
+    for k, p in enumerate(duals):
+        sq[:, 1 + m + k, p, :] = c[cols]
+    dets = np.linalg.det(sq)
+    out = [i for i in range(n_eq, b_n.shape[1]) if i not in rows]
+    slack = b_n[:, out] * dets[:, :1] - np.einsum("nij,nj->ni", a_n[:, out][:, :, cols],
+                                                   dets[:, 1:1 + m])
+    border = np.zeros((_FIT_NODES.size, len(others), m + 1, m + 1))
+    border[:, :, :m, :m] = a[:, None]
+    border[:, :, :m, m] = np.swapaxes(a_n[:, rows][:, :, others], 1, 2)
+    border[:, :, m, :m], border[:, :, m, m] = c[cols], c[others]
+    values = np.c_[dets[:, :1 + m], slack, -np.linalg.det(border), dets[:, 1 + m:]]
+    return np.linalg.solve(np.vander(_FIT_NODES), values)
 
-    When x is nondegenerate, its active rows over its support are square.
-    At most two of them move with v_s, affinely (group 1's anchor; group 2's
-    pin or binding band edge), so by Cramer's rule each basic weight is
-    P_j / D, each inactive row's slack R_k / D and the objective N / D, all
-    polynomials in v_s of degree <= 3.  The basis peaks at a breakpoint (a
-    root of some P_j or R_k) or a root of N'D - ND'; those where the basis
-    stays feasible are returned, none when x is degenerate.
-    """
-    a, _, _, _, tight = _split_rows(lp_at(vs), x)
-    support = np.flatnonzero(x > _NONNEG_TOL)
-    if v[-1] <= v[0] or support.size != a.shape[0]:
-        return np.empty(0)
-    # Fit in u = (v_s - mid) / half on [-1, 1], where the monomials are well
-    # conditioned; five nodes fix a quartic, a margin over degree 3.
-    mid, half = 0.5 * (v[0] + v[-1]), 0.5 * (v[-1] - v[0])
-    nodes = np.linspace(-1.0, 1.0, 5)
-    values = []
-    for u in nodes:
-        a, b, a_in, b_in, _ = _split_rows(lp_at(mid + half * u), x, tight)
-        stack = np.repeat(a[None, :, support], support.size + 1, axis=0)
-        for j in range(support.size):
-            stack[j + 1, :, j] = b
-        dets = np.linalg.det(stack)  # D, then each P_j
-        values.append(np.r_[dets, b_in * dets[0] - a_in[:, support] @ dets[1:]])
-    coef = np.linalg.solve(np.vander(nodes), np.array(values))
-    den, nums = coef[:, 0], coef[:, 1:]
-    obj = nums[:, :support.size] @ lp_at(vs).objective[support]
-    stationary = np.polysub(np.polymul(np.polyder(obj), den),
-                            np.polymul(obj, np.polyder(den)))
-    u = np.concatenate([_real_roots(p, -1.0, 1.0) for p in (stationary, *nums.T)])
-    d_u = np.polyval(den, u)
-    basic = np.array([np.polyval(p, u) for p in nums.T]).reshape(-1, u.size)
-    ok = (d_u != 0.0) & np.all(basic * np.sign(d_u) >= -1e-9 * np.abs(d_u), axis=0)
-    return np.unique(mid + half * u[ok])
+
+def _follow_basis(a_n, b_n, lp: LinearProgram, x: np.ndarray, u0: float):
+    """(lower, upper, rows, cols, coef): the basis of the vertex x at u0 and
+    the stretch of u around it where the basis stays optimal, or None if it
+    fails just right of u0.  A degenerate x (more active rows than weights)
+    is completed with zero weights or zero slacks; the first completion that
+    holds wins.  Zero polynomials (a flat objective's reduced costs) set no
+    bound."""
+    n_eq, active = lp.b_eq.size, list(_active(lp, x))
+    support = list(np.flatnonzero(x > _NONNEG_TOL))
+    spare = [(j, None) for j in range(lp.n) if j not in support]
+    spare += [(None, i) for i in active[n_eq:]]
+    for extra in itertools.combinations(spare, max(len(active) - len(support), 0)):
+        cols = sorted(support + [j for j, _ in extra if j is not None])
+        rows = [i for i in active if (None, i) not in extra]
+        if len(rows) != len(cols):
+            return None  # more weights than active rows: not a vertex
+        coef = _fit_basis(a_n, b_n, lp.objective, n_eq, rows, cols)
+        scale, d0 = np.max(np.abs(coef[:, 0])), np.polyval(coef[:, 0], u0)
+        if abs(d0) <= 1e-9 * scale:
+            continue
+        live = np.flatnonzero(np.max(np.abs(coef), axis=0) > 1e-11 * scale)
+        roots = np.concatenate([_real_roots(coef[:, j], -1.0, 1.0) for j in live])
+        upper = np.min(roots[roots > u0 + 1e-12], initial=1.0)
+        lower = np.max(roots[roots < u0], initial=-1.0)
+        vals = np.vander([0.5 * (lower + u0), 0.5 * (u0 + upper)], _FIT_NODES.size) @ coef
+        holds = np.all(np.sign(d0) * vals[:, live[1:]] >= -1e-9 * np.abs(vals[:, :1]), axis=1)
+        if holds[1]:
+            return (lower if holds[0] else u0), upper, rows, cols, coef
+    return None
+
+
+def _basis_points(v, entries, coef, cols, lo, hi, objectives) -> np.ndarray:
+    """Where a fitted basis can hold its best point in [lo, hi]: the ends of
+    the pieces that clear every snapshot's band and, inside them, the
+    stationary points (roots of N'D - ND') of each objective's N / D; none
+    where D vanishes."""
+    d, den = v.size, coef[:, 0]
+    weights = np.zeros((_FIT_NODES.size, 2 * d))
+    weights[:, cols] = coef[:, 1:1 + len(cols)]
+    bands = []
+    for e in entries:  # |gap| <= band, times the positive (g1'P1)(g2'P2)
+        g1, g2 = e.fhat.group1, e.fhat.group2
+        m1, m2 = weights[:, :d] @ g1, weights[:, d:] @ g2
+        gap = np.polysub(np.polymul(weights[:, :d] @ (v * g1), m2),
+                         np.polymul(weights[:, d:] @ (v * g2), m1))
+        # Half MEMBER_TOL of room: the current snapshot's band binds wherever
+        # its LP row does, and every piece end must pass the membership test.
+        width = (e.delta_s + 0.5 * MEMBER_TOL) * np.polymul(m1, m2)
+        bands += [np.polysub(width, gap), np.polyadd(width, gap)]
+    cuts = np.sort(np.r_[lo, hi, [r for p in bands for r in _real_roots(p, lo, hi)]])
+    points = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if all(np.polyval(p, 0.5 * (a + b)) >= 0.0 for p in bands):
+            points += [a, b]
+            for num in (weights @ obj for obj in objectives):
+                points += list(_real_roots(np.polysub(np.polymul(np.polyder(num), den),
+                                                      np.polymul(num, np.polyder(den))), a, b))
+    points = np.unique(points)
+    return points[np.abs(np.polyval(den, points)) > 1e-9 * np.max(np.abs(den))]
 
 
 def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
-    """The anchor LP at every seed v_s, then the best local maxima polished
-    in their basis; ledger bands are post-filtered (module docstring)."""
+    """Walk v_s from v_1 to v_d through the anchor LP's optimal bases
+    (Gass-Saaty): solve the LP, fit its basis, score the basis's candidate
+    points (_basis_points), and re-solve just past the first root where the
+    basis stops being primal or dual feasible.  Each candidate is solved
+    from its basis and goes through _vertex.  The LP's infeasible stretches
+    are walked in its least-violation LP; a basis that cannot be followed is
+    left by ever larger nudges."""
     d, c = v.size, spec.c
+    lo, hi = float(v[0]), float(v[-1])
+    if hi <= lo:
+        return None  # one price: the fixed-price candidate is the answer
     lp_c = c + _REVENUE_TIE * np.r_[q * v * f1, (1.0 - q) * v * f2]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    def lp_at(vs):
-        return _anchor_lp(v, f1, f2, q, delta, entries, lp_c, vs)
+    def lp_at(u, phase=False):
+        lp = _anchor_lp(v, f1, f2, q, delta, entries, lp_c, mid + half * u)
+        return _phase1_lp(lp, d, len(entries)) if phase else lp
 
-    def solve(vs) -> Optional[_Row]:
-        lp = lp_at(vs)
+    def keep(u, lp, x):
+        x = _vertex(lp, x)
+        if _clears_ledger(v, q, entries, x[:d], x[d:]):
+            found.append(_row_from_weights(v, f1, f2, q, float(c @ x), mid + half * u,
+                                           x[:d], x[d:]))
+
+    nodes, found = {}, []
+    u, done, nudge = -1.0 + 2.0 * _NUDGE, -1.0, 2.0 * _NUDGE
+    while u <= 1.0:
+        lp = lp_at(u)
         res = lp_maximize(lp)
-        if res.status != OPTIMAL:
-            return None
-        x = _vertex(lp, res.x)
-        pi1, pi2 = x[:d], x[d:]
-        if not _clears_ledger(v, q, entries, pi1, pi2):
-            return None
-        return _row_from_weights(v, f1, f2, q, float(c @ x), float(vs), pi1, pi2)
-
-    rows = [solve(vs) for vs in np.unique(np.r_[np.linspace(v[0], v[-1], _SEED_STEPS), v])]
-    values = np.array([-np.inf if r is None else r.value for r in rows])
-    padded = np.r_[-np.inf, values, -np.inf]
-    peaks = [i for i in np.argsort(-values, kind="stable")
-             if rows[i] is not None and padded[i] <= values[i] >= padded[i + 2]]
-    found = [r for r in rows if r is not None]
-    for i in peaks[:_POLISH_SEEDS]:
-        anchors = _basis_anchors(lp_at, np.r_[rows[i].pi1, rows[i].pi2], rows[i].point.v_s, v)
-        found += [r for r in map(solve, anchors) if r is not None]
+        phase = res.status != OPTIMAL
+        if phase:
+            lp = lp_at(u, True)
+            res = lp_maximize(lp)
+        if phase not in nodes:
+            nodes[phase] = [np.array(m) for m in zip(*(_stacked(lp_at(w, phase))
+                                                       for w in _FIT_NODES))]
+        x = _vertex(lp, res.x) if res.status == OPTIMAL else None
+        seg = None if x is None else _follow_basis(*nodes[phase], lp, x, u)
+        if seg is None:  # degenerate, or a basis that ends at once: nudge on
+            if not phase:
+                keep(u, lp, x)
+            u, nudge = u + nudge, 10.0 * nudge
+            continue
+        lower, upper, rows, cols, coef = seg
+        u, nudge = upper + 2.0 * _NUDGE, 2.0 * _NUDGE
+        if phase:
+            continue
+        for w in _basis_points(v, entries, coef, cols, max(lower, done), upper, (c, lp_c)):
+            lp = lp_at(w)
+            a_w, b_w = _stacked(lp)
+            x = np.zeros(2 * d)
+            x[cols] = np.linalg.lstsq(a_w[rows][:, cols], b_w[rows], rcond=None)[0]
+            keep(w, lp, x)
+        done = upper
     return max(found, key=lambda r: (r.value, r.revenue), default=None)
 
 
@@ -677,116 +774,3 @@ def max_probability_policy(price_index: int, group: int, fhat: AcceptanceModel,
     :func:`max_probability_policies` with the single probe
     ``(price_index, group)``."""
     return max_probability_policies([(price_index, group)], fhat, ledger, delta_s, cfg)[0]
-
-
-# ---------------------------------------------------------------------------
-# the worked three-price example: closed forms
-# ---------------------------------------------------------------------------
-
-_EPS_MAX = 0.05
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 <= eps <= _EPS_MAX:
-        raise ValueError(f"eps must lie in [0, {_EPS_MAX}]")
-
-
-@dataclass(frozen=True)
-class ClosedFormOptimum:
-    policy: PolicyPair
-    revenue: float
-    v_s: float
-    alpha: float
-
-
-def closed_form_example_optimum(eps: float = 0.0) -> ClosedFormOptimum:
-    """Exact fair optimum of the built-in example family.
-
-    The family has prices (5/8, 7/10, 1), group-1 acceptance
-    (0.6, 0.5-eps, 0.5-eps), group-2 acceptance (0.8, 0.8, 0.5-eps) and
-    q = 0.3.  All four returned quantities are closed-form rational
-    expressions in eps.
-    """
-    _check_eps(eps)
-    den = 29.0 - 10.0 * eps
-    pi1 = np.array([(20.0 - 40.0 * eps) / den, 0.0, (9.0 + 30.0 * eps) / den])
-    pi2 = np.array([0.0, (25.0 - 50.0 * eps) / den, (4.0 + 40.0 * eps) / den])
-    revenue = 37.0 * (1.0 - 2.0 * eps) * (4.0 + 5.0 * eps) / (10.0 * den)
-    v_s = (8.0 + 10.0 * eps) / (11.0 + 10.0 * eps)
-    alpha = 3.0 * (1.0 + 10.0 * eps) * (3.0 + 10.0 * eps) / (2.0 * den * (11.0 + 10.0 * eps))
-    return ClosedFormOptimum(PolicyPair.from_weights(pi1, pi2), revenue, v_s, alpha)
-
-
-def example_revenue_surface(eps: float, v_s: float, alpha: float) -> float:
-    """Expected revenue of the example family's fair policy at (v_s, alpha).
-
-    Valid strictly between the poles 5/8 < v_s < 1 (where the group systems
-    are nonsingular) and for alpha >= 0.
-    """
-    _check_eps(eps)
-    if not 0.625 < v_s < 1.0:
-        raise ValueError("v_s must lie strictly between 5/8 and 1")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    linear = (71.0 - 30.0 * eps) / 100.0 * v_s
-    coef = ((100.0 - 60.0 * eps) - (142.0 - 60.0 * eps) * v_s) \
-        / (25.0 * (8.0 * v_s - 5.0) * (1.0 - v_s))
-    return linear + coef * v_s * alpha
-
-
-@dataclass(frozen=True)
-class AlphaBounds:
-    """Feasible premium range at one v_s of the example family.  b1/b4 are the
-    nonnegativity ceilings of groups 1 and 2; b2/b3 the floors."""
-
-    lower: float
-    upper: float
-    feasible: bool
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-
-
-def alpha_bounds(eps: float, v_s: float) -> AlphaBounds:
-    """Closed-form alpha feasibility interval of the example family at v_s."""
-    _check_eps(eps)
-    if not 0.625 < v_s < 1.0:
-        raise ValueError("v_s must lie strictly between 5/8 and 1")
-    e1, e3 = 1.0 + 10.0 * eps, 3.0 + 10.0 * eps
-    b1 = e1 * (8.0 * v_s - 5.0) * (1.0 - v_s) / (e1 * 8.0 * v_s + 10.0 * (1.0 - 8.0 * eps))
-    b2 = e1 * (8.0 * v_s - 5.0) * (7.0 - 10.0 * v_s) / (10.0 * (e1 * 8.0 * v_s - 2.0 * (1.0 + 28.0 * eps)))
-    b3 = e3 * (10.0 * v_s - 7.0) * (1.0 - v_s) / (e3 * 10.0 * v_s - (6.0 + 100.0 * eps))
-    b4 = e3 * (8.0 * v_s - 5.0) * (1.0 - v_s) / (e3 * 8.0 * v_s - 80.0 * eps)
-    lower = max(0.0, b2, b3)
-    upper = min(b1, b4)
-    return AlphaBounds(lower, upper, lower <= upper + 1e-15, b1, b2, b3, b4)
-
-
-def eps_family_matrices(eps: float, v_s: float):
-    """Constraint matrices [sum; proposed mean; pinned accepted mean] of the
-    example family's two groups at anchor v_s.  Rows pair with the right-hand
-    side (1, v_s + alpha, 0)."""
-    _check_eps(eps)
-    v = np.array([0.625, 0.7, 1.0])
-    f1 = np.array([0.6, 0.5 - eps, 0.5 - eps])
-    f2 = np.array([0.8, 0.8, 0.5 - eps])
-    a1 = np.vstack([np.ones(3), v, (v - v_s) * f1])
-    a2 = np.vstack([np.ones(3), v, (v - v_s) * f2])
-    return a1, a2
-
-
-def eps_family_policy(eps: float, v_s: float, alpha: float) -> PolicyPair:
-    """Reconstruct the example family's strict-parity policy at (v_s, alpha)
-    by solving both groups' 3x3 systems exactly.
-
-    Raises:
-        SingularMatrixError: at degenerate anchors (e.g. v_s at a pole).
-        ValueError: if the reconstructed weights are not a distribution.
-    """
-    a1, a2 = eps_family_matrices(eps, v_s)
-    rhs = np.array([1.0, v_s + alpha, 0.0])
-    w1 = solve_linear_system(a1, rhs)
-    w2 = solve_linear_system(a2, rhs)
-    return PolicyPair(GroupDistribution.renormalized(w1),
-                      GroupDistribution.renormalized(w2))

@@ -1,4 +1,5 @@
-"""Round-level market simulator, built-in example markets, and baselines.
+"""Round-level market simulator, built-in example markets (with the worked
+example's closed forms), and baselines.
 
 An episode draws the arriving buyer's group with probability q, asks the
 agent for a price, resolves acceptance against the market's curves, and feeds
@@ -24,6 +25,7 @@ import numpy as np
 
 from .core import (
     AcceptanceModel,
+    GroupDistribution,
     MarketConfig,
     PolicyPair,
     PriceGrid,
@@ -35,6 +37,7 @@ from .core import (
     stream_seed,
     substantive_gap,
 )
+from .linsolve import solve_linear_system
 from .oracle import solve_fair_optimal
 
 BASELINE_KINDS = ("best_fixed", "ucb_fixed", "fair_oracle", "group_oracle")
@@ -101,6 +104,107 @@ def lowerbound_family_market(j: int, d: int, horizon: int) -> MarketConfig:
         accept=AcceptanceModel(accept.copy(), accept.copy()),
         q=0.5,
     )
+
+
+# ---------------------------------------------------------------------------
+# the worked three-price example: closed forms
+# ---------------------------------------------------------------------------
+
+# Largest eps of the example family that the closed forms below cover.
+CLOSED_FORM_EPS_MAX = 0.05
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps <= CLOSED_FORM_EPS_MAX:
+        raise ValueError(f"eps must lie in [0, {CLOSED_FORM_EPS_MAX}]")
+
+
+@dataclass(frozen=True)
+class ClosedFormOptimum:
+    policy: PolicyPair
+    revenue: float
+    v_s: float
+    alpha: float
+
+
+def closed_form_example_optimum(eps: float = 0.0) -> ClosedFormOptimum:
+    """Exact fair optimum of the built-in example family.
+
+    The family has prices (5/8, 7/10, 1), group-1 acceptance
+    (0.6, 0.5-eps, 0.5-eps), group-2 acceptance (0.8, 0.8, 0.5-eps) and
+    q = 0.3.  All four returned quantities are closed-form rational
+    expressions in eps.
+    """
+    _check_eps(eps)
+    den = 29.0 - 10.0 * eps
+    pi1 = np.array([(20.0 - 40.0 * eps) / den, 0.0, (9.0 + 30.0 * eps) / den])
+    pi2 = np.array([0.0, (25.0 - 50.0 * eps) / den, (4.0 + 40.0 * eps) / den])
+    revenue = 37.0 * (1.0 - 2.0 * eps) * (4.0 + 5.0 * eps) / (10.0 * den)
+    v_s = (8.0 + 10.0 * eps) / (11.0 + 10.0 * eps)
+    alpha = 3.0 * (1.0 + 10.0 * eps) * (3.0 + 10.0 * eps) / (2.0 * den * (11.0 + 10.0 * eps))
+    return ClosedFormOptimum(PolicyPair.from_weights(pi1, pi2), revenue, v_s, alpha)
+
+
+def example_revenue_surface(eps: float, v_s: float, alpha: float) -> float:
+    """Expected revenue of the example family's fair policy at (v_s, alpha).
+
+    Valid strictly between the poles 5/8 < v_s < 1 (where the group systems
+    are nonsingular) and for alpha >= 0.
+    """
+    _check_eps(eps)
+    if not 0.625 < v_s < 1.0:
+        raise ValueError("v_s must lie strictly between 5/8 and 1")
+    if alpha < 0.0:
+        raise ValueError("alpha must be >= 0")
+    linear = (71.0 - 30.0 * eps) / 100.0 * v_s
+    coef = ((100.0 - 60.0 * eps) - (142.0 - 60.0 * eps) * v_s) \
+        / (25.0 * (8.0 * v_s - 5.0) * (1.0 - v_s))
+    return linear + coef * v_s * alpha
+
+
+@dataclass(frozen=True)
+class AlphaBounds:
+    """Feasible premium range at one v_s of the example family.  b1/b4 are the
+    nonnegativity ceilings of groups 1 and 2; b2/b3 the floors."""
+
+    lower: float
+    upper: float
+    feasible: bool
+    b1: float
+    b2: float
+    b3: float
+    b4: float
+
+
+def alpha_bounds(eps: float, v_s: float) -> AlphaBounds:
+    """Closed-form alpha feasibility interval of the example family at v_s."""
+    _check_eps(eps)
+    if not 0.625 < v_s < 1.0:
+        raise ValueError("v_s must lie strictly between 5/8 and 1")
+    e1, e3 = 1.0 + 10.0 * eps, 3.0 + 10.0 * eps
+    b1 = e1 * (8.0 * v_s - 5.0) * (1.0 - v_s) / (e1 * 8.0 * v_s + 10.0 * (1.0 - 8.0 * eps))
+    b2 = e1 * (8.0 * v_s - 5.0) * (7.0 - 10.0 * v_s) / (10.0 * (e1 * 8.0 * v_s - 2.0 * (1.0 + 28.0 * eps)))
+    b3 = e3 * (10.0 * v_s - 7.0) * (1.0 - v_s) / (e3 * 10.0 * v_s - (6.0 + 100.0 * eps))
+    b4 = e3 * (8.0 * v_s - 5.0) * (1.0 - v_s) / (e3 * 8.0 * v_s - 80.0 * eps)
+    lower = max(0.0, b2, b3)
+    upper = min(b1, b4)
+    return AlphaBounds(lower, upper, lower <= upper + 1e-15, b1, b2, b3, b4)
+
+
+def eps_family_policy(eps: float, v_s: float, alpha: float) -> PolicyPair:
+    """Reconstruct the example family's strict-parity policy at (v_s, alpha)
+    by solving each group's 3x3 system [sum; proposed mean; pinned accepted
+    mean] = (1, v_s + alpha, 0) exactly.
+
+    Raises:
+        SingularMatrixError: at degenerate anchors (e.g. v_s at a pole).
+        ValueError: if the reconstructed weights are not a distribution.
+    """
+    _check_eps(eps)
+    v, rhs = np.array([0.625, 0.7, 1.0]), np.array([1.0, v_s + alpha, 0.0])
+    w1, w2 = (solve_linear_system(np.vstack([np.ones(3), v, (v - v_s) * f]), rhs)
+              for f in (np.array([0.6, 0.5 - eps, 0.5 - eps]), np.array([0.8, 0.8, 0.5 - eps])))
+    return PolicyPair(GroupDistribution.renormalized(w1), GroupDistribution.renormalized(w2))
 
 
 # ---------------------------------------------------------------------------

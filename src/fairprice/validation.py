@@ -36,17 +36,14 @@ from .core import (
 )
 from .fpa import FpaAgent, FpaConfig
 from .linsolve import LinearProgram, lp_maximize, vertex_enumerate
-from .oracle import (
+from .oracle import member, solve_fair_optimal
+from .sim import (
     alpha_bounds,
     closed_form_example_optimum,
     eps_family_policy,
-    example_revenue_surface,
-    member,
-    solve_fair_optimal,
-)
-from .sim import (
     example1_market,
     example_eps_market,
+    example_revenue_surface,
     lowerbound_family_market,
     run_episode,
     write_summary_json,

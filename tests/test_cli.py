@@ -68,6 +68,17 @@ def test_solve_accepts_the_perturbed_preset(capsys):
     assert "closed-form revenue" in capsys.readouterr().out
 
 
+def test_solve_skips_the_closed_form_beyond_its_range(tmp_path, capsys):
+    """The preset takes eps up to 0.45; the closed forms hold to 0.05 only."""
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--preset", "example-eps", "--eps", "0.2", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "revenue  " in captured.out and "closed-form" not in captured.out
+    assert captured.err == ""
+    report = json.loads(out.read_text())
+    assert "closed_form_revenue" not in report and len(report["policy_group2"]) == 3
+
+
 def test_solve_reads_market_files(tmp_path, capsys):
     path = tmp_path / "market.txt"
     path.write_text(market_to_text(example_eps_market(0.02)))

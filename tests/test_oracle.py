@@ -24,6 +24,7 @@ from fairprice import (
     example_revenue_surface,
     expected_revenue,
     fixed_price_policy,
+    lowerbound_family_market,
     max_probability_policies,
     max_probability_policy,
     member,
@@ -33,7 +34,9 @@ from fairprice import (
     solve_relaxed_optimal,
     substantive_gap,
 )
-from fairprice.linsolve import LinearProgram, vertex_enumerate
+from fairprice import oracle
+from fairprice.core import GroupDistribution
+from fairprice.linsolve import OPTIMAL, LinearProgram, lp_maximize, vertex_enumerate
 from fairprice.oracle import ParamPoint
 from fairprice.validation import brute_force_fair_optimal
 
@@ -132,21 +135,33 @@ def test_scan_tracks_the_family_across_eps(eps):
                                         abs=1e-10)
 
 
-def _anchor_lp_value(market, delta, v_s):
-    """Optimum of the anchor LP at v_s by brute-force vertex enumeration,
-    built from the problem statement rather than the solver's code."""
+def _statement_lp(market, delta, v_s, objective, entries=()):
+    """The anchor LP at v_s, built from the problem statement rather than the
+    solver's code: both groups sum to one, equal proposed means, group 1's
+    accepted mean at v_s, group 2's within delta of it (linearized), and each
+    snapshot's revenue floor."""
     v, q = market.grid.prices, market.q
     f1, f2 = market.accept.group1, market.accept.group2
-    zero, one = np.zeros(3), np.ones(3)
+    zero, one = np.zeros(v.size), np.ones(v.size)
     band = (v - v_s) * f2
-    lp = LinearProgram(
-        np.r_[q * v * f1, (1 - q) * v * f2],
-        a_ub=[np.r_[zero, band - delta * f2], np.r_[zero, -band - delta * f2]],
-        b_ub=[0.0, 0.0],
+    floors = [-np.r_[q * v * e.fhat.group1, (1 - q) * v * e.fhat.group2] for e in entries]
+    return LinearProgram(
+        objective,
+        a_ub=[np.r_[zero, band - delta * f2], np.r_[zero, -band - delta * f2]] + floors,
+        b_ub=[0.0, 0.0] + [-e.revenue_floor for e in entries],
         a_eq=[np.r_[one, zero], np.r_[zero, one], np.r_[v, -v],
               np.r_[(v - v_s) * f1, zero]],
         b_eq=[1.0, 1.0, 0.0, 0.0])
-    return vertex_enumerate(lp).value
+
+
+def _revenue_weights(market):
+    v, q = market.grid.prices, market.q
+    return np.r_[q * v * market.accept.group1, (1 - q) * v * market.accept.group2]
+
+
+def _anchor_lp_value(market, delta, v_s):
+    """Optimum of the anchor LP at v_s by brute-force vertex enumeration."""
+    return vertex_enumerate(_statement_lp(market, delta, v_s, _revenue_weights(market))).value
 
 
 def test_relaxed_solver_is_monotone_in_the_band(example_market, example_solution):
@@ -184,6 +199,42 @@ def test_general_solver_handles_wide_grids(d):
     assert substantive_gap(market, sol.policy) <= 1e-9
     assert sol.revenue >= best_fixed_price(market)[1] - 1e-12
     assert sol.revenue == pytest.approx(expected_revenue(market, sol.policy), abs=1e-12)
+
+
+@pytest.mark.parametrize("d, seeds", [(3, (74, 108, 0, 1, 2)), (4, (95, 145, 0, 1, 2)),
+                                      (5, (5, 93, 0, 1, 2)), (6, (21, 105, 0, 1, 2))],
+                         ids=["d3", "d4", "d5", "d6"])
+def test_walk_reaches_the_best_of_dense_anchors(d, seeds):
+    """The walk in v_s is exact: on random markets its optimum is at least
+    the best LP optimum over 1,001 evenly spaced anchors, and at d = 3 it is
+    the vertex optimum of the anchor LP at the v_s it reports.  The first two
+    seeds of each d give markets whose optimum is a stationary point inside
+    one basis, not a breakpoint."""
+    for seed in seeds:
+        market = _random_market(np.random.default_rng(seed), d)
+        v = market.grid.prices
+        for delta in (0.0, 0.03):
+            sol = solve_relaxed_optimal(market, delta)
+            dense = max(res.value for res in (
+                lp_maximize(_statement_lp(market, delta, v_s, _revenue_weights(market)))
+                for v_s in np.linspace(v[0], v[-1], 1001)) if res.status == OPTIMAL)
+            assert sol.revenue >= dense - 1e-12, (seed, delta)
+            if d == 3:
+                assert sol.revenue == pytest.approx(
+                    _anchor_lp_value(market, delta, sol.point.v_s), abs=1e-12)
+
+
+def test_searches_solve_few_lps(monkeypatch):
+    """One LP per basis the walk crosses, not one per anchor of a grid (the
+    seed grid took 203 per search).  The count is deterministic."""
+    calls = []
+    real = oracle.lp_maximize
+    monkeypatch.setattr(oracle, "lp_maximize", lambda lp: calls.append(lp) or real(lp))
+    solve_fair_optimal(lowerbound_family_market(2, 4, 100_000))
+    assert 0 < len(calls) <= 40
+    calls.clear()
+    solve_relaxed_optimal(_random_market(np.random.default_rng(4), 4), 0.03)
+    assert 0 < len(calls) <= 40
 
 
 @st.composite
@@ -433,6 +484,37 @@ D4_MARKET = MarketConfig(
     grid=PriceGrid(np.array([0.4, 0.6, 0.8, 1.0])),
     accept=AcceptanceModel(np.array([0.9, 0.7, 0.5, 0.3]), np.array([0.8, 0.75, 0.4, 0.35])),
     q=0.4)
+
+
+def test_d4_ledger_probes_reach_the_best_member_of_dense_anchors():
+    """On every ledger prefix of a seeded d = 4 run, each probe returns a
+    member with at least the weight of the best member among the LP optima
+    at 1,001 dense anchors: the walk post-filters the bands exactly in v_s."""
+    horizon = 3000
+    agent = FpaAgent(FpaConfig(grid=D4_MARKET.grid, q=D4_MARKET.q, horizon=horizon, seed=0))
+    run_episode(agent, D4_MARKET, horizon, seed=0, record_every=horizon)
+    v, d = D4_MARKET.grid.prices, D4_MARKET.grid.d
+    probes = [(i, g) for g in (1, 2) for i in range(d)]
+    entries = agent.ledger.entries
+    assert len(entries) >= 2
+    for n in range(1, len(entries) + 1):
+        prefix = EliminationLedger(agent.ledger.grid, agent.ledger.q, list(entries[:n]))
+        latest = prefix.latest
+        estimated = MarketConfig(D4_MARKET.grid, latest.fhat, q=D4_MARKET.q)
+        results = max_probability_policies(probes, latest.fhat, prefix, latest.delta_s)
+        for (i, g), res in zip(probes, results):
+            assert not res.ledger_infeasible and member(res.policy, prefix), (n, i, g)
+            weight = np.zeros(2 * d)
+            weight[(g - 1) * d + i] = 1.0
+            best = 0.0
+            for v_s in np.linspace(v[0], v[-1], 1001):
+                lp = _statement_lp(estimated, latest.delta_s, v_s, weight, prefix.entries)
+                opt = lp_maximize(lp)
+                if opt.status == OPTIMAL and member(PolicyPair(
+                        GroupDistribution.renormalized(opt.x[:d]),
+                        GroupDistribution.renormalized(opt.x[d:])), prefix):
+                    best = max(best, opt.value)
+            assert res.achieved_prob >= best - 1e-12, (n, i, g)
 
 
 @pytest.mark.parametrize("market, band, below_optimum, delta_s", [
