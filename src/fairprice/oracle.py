@@ -228,22 +228,30 @@ def _adjugate_cols(v: np.ndarray, z: np.ndarray):
 def _pin_group(v: np.ndarray, f: np.ndarray, vs_vals: np.ndarray, vr: np.ndarray):
     """Group weights with accepted mean pinned to each vs, affine in the
     proposed mean vr: pi = a + vr * b with rows a, b of shape (nvs, 3).
-    Returns (a, b, feasible); singular rows are nan and never feasible."""
+    Returns (a, b, feasible) with feasible over the whole grid vr of shape
+    (nvs, na); singular rows are nan and never feasible."""
     p, s, det = _adjugate_cols(v, (v[None, :] - vs_vals[:, None]) * f[None, :])
     det = np.where(np.abs(det) > _DET_TOL, det, np.nan)[:, None]
     a, b = p / det, s / det
-    feas = np.ones(vr.shape, dtype=bool)
-    for e_k in np.eye(3):
-        feas &= _affine_dot(a, b, vr)(e_k) >= -_NONNEG_TOL
+    # One buffer for the three weights: a fresh grid-sized temporary each
+    # time can page-fault in again once the allocator has trimmed the heap.
+    feas, weight = np.ones(vr.shape, dtype=bool), np.empty(vr.shape)
+    for k in range(3):
+        np.multiply(vr, b[:, k, None], out=weight)
+        weight += a[:, k, None]
+        feas &= weight >= -_NONNEG_TOL
     return a, b, feas
 
 
-def _affine_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, t=None, n_dir=None):
-    """u -> (a + vr * b + t * n_dir) @ u over the (vs, alpha) grid, built
-    from products with whole rows instead of a per-cell weight array."""
+def _affine_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, rows: np.ndarray, t=None,
+                n_dir=None):
+    """u -> (a + vr * b + t * n_dir) @ u over flat cells, cell k in v_s row
+    rows[k]: products with whole rows of a and b are taken once per row and
+    gathered, so no per-cell weight array is built.  The scan passes only
+    the cells group 1's pin admits."""
     def dot(u):
-        out = vr * (b @ u)[:, None]
-        out += (a @ u)[:, None]
+        out = vr * (b @ u)[rows]
+        out += (a @ u)[rows]
         if t is not None:
             out += t * float(n_dir @ u)
         return out
@@ -252,8 +260,7 @@ def _affine_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, t=None, n_dir=None
 
 def _tighten(a, b, t_lo, t_hi, feas):
     """Impose a + t*b <= 0 elementwise on the interval [t_lo, t_hi].  Works in
-    place and uses a up: the scan's arrays are large, and every fresh one
-    can page-fault in again once the allocator has trimmed the heap."""
+    place and uses a up."""
     b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
     up, down = b > _DET_TOL, b < -_DET_TOL
     feas &= up | down | (a <= _NONNEG_TOL)
@@ -265,11 +272,12 @@ def _tighten(a, b, t_lo, t_hi, feas):
     return t_lo, t_hi, feas
 
 
-def _group2_segment(v, q, f2, vs_vals, vr, delta, entries, dot1):
+def _group2_segment(v, q, f2, vs_vals, vr, rows, delta, entries, dot1):
     """Group 2 as segments pi(t) = a + vr * b + t * n_dir along the common
     null direction of the sum and proposed-mean rows, with every group-2 row
     folded into [t_lo, t_hi]: nonnegativity, the current band (delta = 0
     shrinks the segment to a point), and each snapshot's band and floor.
+    Cells are flat as in _affine_dot.
 
     With pi1 fixed per cell a snapshot's rows are linear in pi2 (the gap
     ratio multiplied through by the positive acceptance mass), so the fold
@@ -279,16 +287,16 @@ def _group2_segment(v, q, f2, vs_vals, vr, delta, entries, dot1):
     n_dir = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
     p, s, det = _adjugate_cols(v, n_dir)  # det = |n|^2 > 0 for a strict grid
     a, b = (np.broadcast_to(m / det, (vs_vals.size, 3)) for m in (p, s))
-    base2 = _affine_dot(a, b, vr)
+    base2 = _affine_dot(a, b, vr, rows)
     t_lo, t_hi = np.full(vr.shape, -np.inf), np.full(vr.shape, np.inf)
     feas = np.ones(vr.shape, dtype=bool)
     for i, e_i in enumerate(np.eye(3)):
         t_lo, t_hi, feas = _tighten(base2(-e_i), -n_dir[i], t_lo, t_hi, feas)
     band = (v[None, :] - vs_vals[:, None]) * f2[None, :]
     for w in (band - delta * f2[None, :], -(band + delta * f2[None, :])):
-        rows = vr * (w @ b[0])[:, None]
-        rows += (w @ a[0])[:, None]
-        t_lo, t_hi, feas = _tighten(rows, (w @ n_dir)[:, None], t_lo, t_hi, feas)
+        edge = vr * (w @ b[0])[rows]
+        edge += (w @ a[0])[rows]
+        t_lo, t_hi, feas = _tighten(edge, (w @ n_dir)[rows], t_lo, t_hi, feas)
     for entry in entries:
         g1, g2 = entry.fhat.group1, entry.fhat.group2
         vg2, width = v * g2, entry.delta_s
@@ -336,32 +344,39 @@ def _row_from_weights(v, f1, f2, q, value, vs, pi1, pi2, fixed=False) -> _Row:
 
 def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs) -> list[Optional[_Row]]:
     """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), for each
-    objective, or None.  The objective-free state (group-1 rows, the group-2
-    segment with the ledger folded in) is built once and freed on return.
-    Weights enter only through products with fixed vectors, so every
-    per-cell array is 2-D."""
+    objective, or None.  Group 1's pin is tested on the whole grid; only the
+    cells it admits are carried on, flat in row-major order with their v_s
+    row index, so the group-2 segment, the ledger folds and every objective
+    run on those cells alone and argmax keeps the grid's first-maximum tie
+    rule.  Weights enter only through products with fixed vectors (see
+    _affine_dot); the objective-free state is built once and freed on
+    return."""
     vr = vs_vals[:, None] + alpha
-    rows = []
     with np.errstate(all="ignore"):
-        a1, b1, feas = _pin_group(v, f1, vs_vals, vr)
-        dot1 = _affine_dot(a1, b1, vr)
-        a2, b2, n_dir, t_lo, t_hi, feas2 = _group2_segment(v, q, f2, vs_vals, vr, delta,
-                                                           entries, dot1)
-        feas &= feas2
+        a1, b1, live = _pin_group(v, f1, vs_vals, vr)
+        rows, _ = np.nonzero(live)
+        if rows.size == 0:
+            return [None] * len(specs)
+        vr = vr[live]
+        dot1 = _affine_dot(a1, b1, vr, rows)
+        a2, b2, n_dir, t_lo, t_hi, feas = _group2_segment(v, q, f2, vs_vals, vr, rows, delta,
+                                                          entries, dot1)
+        found = []
         for spec in specs:
             t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
             t = t_hi if float(t_coef @ n_dir) > 0.0 else t_lo
-            value = dot1(spec.c[:3]) + _affine_dot(a2, b2, vr, t, n_dir)(spec.c[3:])
+            value = dot1(spec.c[:3]) + _affine_dot(a2, b2, vr, rows, t, n_dir)(spec.c[3:])
             score = np.where(feas & np.isfinite(value), value, -np.inf)
-            i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-            if not np.isfinite(score[i, j]):
-                rows.append(None)
+            k = int(np.argmax(score))
+            if not np.isfinite(score[k]):
+                found.append(None)
                 continue
-            pi1 = a1[i] + vr[i, j] * b1[i]
-            pi2 = a2[i] + vr[i, j] * b2[i] + t[i, j] * n_dir
-            rows.append(_row_from_weights(v, f1, f2, q, float(value[i, j]), float(vs_vals[i]),
-                                          pi1, pi2))
-    return rows
+            i = rows[k]
+            pi1 = a1[i] + vr[k] * b1[i]
+            pi2 = a2[i] + vr[k] * b2[i] + t[k] * n_dir
+            found.append(_row_from_weights(v, f1, f2, q, float(value[k]), float(vs_vals[i]),
+                                           pi1, pi2))
+    return found
 
 
 def _search_d3(v, f1, f2, q, delta, entries, specs, cfg: OracleConfig) -> list[Optional[_Row]]:

@@ -14,12 +14,10 @@ roughly two minutes; everything else finishes in seconds.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """The phased elimination agent: schedule arithmetic, round protocol, and one
 full short-horizon run pinned down to its epoch boundaries."""
 
+import hashlib
 import json
 import math
 
@@ -232,20 +233,22 @@ def test_identical_configs_propose_identically():
     assert seen[0] == seen[1]
 
 
+def _episode_bytes(tmp_path, name, seed=0):
+    """Trace CSV and summary JSON bytes of one FPA episode on the worked
+    example at T = 1e4, every round recorded."""
+    market = example1_market()
+    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=10_000, seed=seed))
+    trace = run_episode(agent, market, 10_000, seed=seed, record_every=1,
+                        oracle_revenue=74.0 / 145.0)
+    write_trace_csv(trace, str(tmp_path / f"{name}.csv"))
+    write_summary_json(trace.summary(), str(tmp_path / f"{name}.json"))
+    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+
 def test_batched_probes_write_the_single_calls_bytes(tmp_path, monkeypatch):
     """An epoch's probes share one scan; probing one at a time must give the
     same trace and summary bytes."""
-    market = example1_market()
-
-    def outputs(name):
-        agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=10_000, seed=0))
-        trace = run_episode(agent, market, 10_000, seed=0, record_every=1,
-                            oracle_revenue=74.0 / 145.0)
-        write_trace_csv(trace, str(tmp_path / f"{name}.csv"))
-        write_summary_json(trace.summary(), str(tmp_path / f"{name}.json"))
-        return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
-
-    batched = outputs("batched")
+    batched = _episode_bytes(tmp_path, "batched")
     calls = []
 
     def one_at_a_time(probes, fhat, ledger, delta_s, cfg=None):
@@ -253,7 +256,27 @@ def test_batched_probes_write_the_single_calls_bytes(tmp_path, monkeypatch):
         return [max_probability_policy(i, g, fhat, ledger, delta_s, cfg) for i, g in probes]
 
     monkeypatch.setattr(fairprice.fpa, "max_probability_policies", one_at_a_time)
-    single = outputs("single")
+    single = _episode_bytes(tmp_path, "single")
     assert len(calls) == 4 and sum(calls) > len(calls)
     assert batched[0] == single[0], "trace CSV differs"
     assert batched[1] == single[1], "summary JSON differs"
+
+
+# SHA-256 of (trace CSV, summary JSON) written by _episode_bytes, recorded at
+# commit 2f7d9bf.  A change meant to keep the outputs must keep these; one
+# that moves them on purpose records the new digests here and says why.
+GOLDEN_DIGESTS = {
+    0: ("0ac736e68814f6a466a8c68558024e1ee2aff79df9974ef7381d98b89fb12f65",
+        "d4cfdb82e3542cccc58c201e1d4e18fcfc20e87334341128f0833324a3c7a585"),
+    1: ("8c9a78677a74c6971cb5ad386c09b36c9872bfd1338435b16f3f468d1a0a7c90",
+        "f707dd373e20b35ab1833aac3886680925e333e6d75632ba99ac74d3bb9122a5"),
+    2: ("e8a65d491ae6686ee89f27404ceb7feb0ad6ec922d167e12d73c046e9bf62915",
+        "071798762f548fbd35c9d6e6408d46c3b1a12b150063e7649789ff04c9d2811a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+def test_episode_bytes_match_the_golden_digests(tmp_path, seed):
+    csv, summary = _episode_bytes(tmp_path, f"seed{seed}", seed)
+    assert hashlib.sha256(csv).hexdigest() == GOLDEN_DIGESTS[seed][0], "trace CSV differs"
+    assert hashlib.sha256(summary).hexdigest() == GOLDEN_DIGESTS[seed][1], "summary JSON differs"

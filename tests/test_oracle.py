@@ -422,6 +422,21 @@ def test_probe_policy_flags_an_empty_surviving_set(example_market):
     assert res.policy is None
 
 
+def test_scan_has_no_row_when_the_pin_admits_no_cell(example_market):
+    """A premium window wholly above v_d - v_s puts the proposed mean above
+    the top price, so group 1's pin admits no cell and no objective has a
+    row."""
+    v, f, q = example_market.grid.prices, example_market.accept, example_market.q
+    vs_vals = np.linspace(v[0], v[-1], 7)
+    alpha = (v[-1] - vs_vals)[:, None] + np.linspace(0.01, 0.2, 5)[None, :]
+    specs = [oracle._Objective(c) for c in np.eye(6)]
+    specs.append(oracle._Objective(np.r_[q * v * f.group1, (1.0 - q) * v * f.group2]))
+    entries = [LedgerEntry(1, f, 0.02, 0.4)]
+    for delta in (0.0, 0.02):
+        assert oracle._scan_d3(v, f.group1, f.group2, q, delta, entries, vs_vals, alpha,
+                               specs) == [None] * len(specs)
+
+
 def test_probe_policy_argument_checks(example_market):
     ledger = _ledger_with(example_market, 0.02, 0.4)
     with pytest.raises(ValueError):
