@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -416,75 +416,150 @@ def _search_d3(v, f1, f2, q, delta, entries, specs, cfg: OracleConfig) -> list[O
 # exact search (v_s outer, LP inner), candidate assembly and selection
 # ---------------------------------------------------------------------------
 
-def _anchor_lp(v, f1, f2, q, delta, entries, c, vs) -> LinearProgram:
-    """The fair LP at anchor vs over x = (pi1, pi2): both sums 1, equal
-    proposed means (the premium is free), group 1's accepted mean at vs,
-    group 2's pinned (delta = 0) or in its band, and the ledger floors."""
-    zero, one = np.zeros(v.size), np.ones(v.size)
-    a_eq = [np.r_[one, zero], np.r_[zero, one], np.r_[v, -v], np.r_[(v - vs) * f1, zero]]
-    b_eq = [1.0, 1.0, 0.0, 0.0]
-    a_ub = [np.r_[-q * v * e.fhat.group1, -(1.0 - q) * v * e.fhat.group2] for e in entries]
-    b_ub = [-e.revenue_floor for e in entries]
-    band = (v - vs) * f2
-    if delta == 0.0:
-        a_eq.append(np.r_[zero, band])
-        b_eq.append(0.0)
-    else:
-        a_ub += [np.r_[zero, band - delta * f2], np.r_[zero, -(band + delta * f2)]]
-        b_ub += [0.0, 0.0]
-    return LinearProgram(c, a_ub=a_ub or None, b_ub=b_ub or None, a_eq=a_eq, b_eq=b_eq)
+class _Rows(NamedTuple):
+    """An LP over x >= 0 as stacked rows, equalities first: maximize c'x
+    with a x = b on the first n_eq rows and a x <= b on the others.  a and b
+    may carry a leading axis of fit nodes."""
+
+    a: np.ndarray
+    b: np.ndarray
+    n_eq: int
+    c: np.ndarray
+
+    def lp(self) -> LinearProgram:
+        n = self.n_eq
+        return LinearProgram(self.c, a_ub=self.a[n:], b_ub=self.b[n:], a_eq=self.a[:n],
+                             b_eq=self.b[:n])
+
+    def active(self, x: np.ndarray) -> np.ndarray:
+        """Rows active at x: equalities, inequalities without slack."""
+        a, b, n = self.a, self.b, self.n_eq
+        return np.concatenate([np.arange(n), n + np.flatnonzero(b[n:] - a[n:] @ x <= _NONNEG_TOL)])
+
+    def vertex(self, x: np.ndarray) -> np.ndarray:
+        """x re-solved from its active rows over its support: one vertex gives
+        the same bits whatever the pivots or the rows that do not bind there
+        (a wider band), so the relaxed optimum cannot dip by rounding as it
+        grows."""
+        active, support = self.active(x), x > _NONNEG_TOL
+        out = np.zeros_like(x)
+        out[support] = np.linalg.lstsq(self.a[active][:, support], self.b[active], rcond=None)[0]
+        return out
 
 
-def _stacked(lp: LinearProgram):
-    """Every row of lp, equalities first, as (a, b)."""
-    a_ub = np.empty((0, lp.n)) if lp.a_ub is None else lp.a_ub
-    b_ub = np.empty(0) if lp.b_ub is None else lp.b_ub
-    return np.vstack([lp.a_eq, a_ub]), np.r_[lp.b_eq, b_ub]
+class _AnchorRows:
+    """The fair LP at an anchor v_s over x = (pi1, pi2): both sums 1, equal
+    proposed means (the premium is free), group 1's accepted mean at v_s,
+    group 2's pinned (delta = 0), then the ledger floors, then group 2's band
+    edges (delta > 0).  The rows are built once; only those that move with
+    v_s (group 1's pin, group 2's pin or band edges) are rewritten."""
+
+    def __init__(self, v, f1, f2, q, delta, entries, c):
+        d, pinned = v.size, delta == 0.0
+        n_eq = 5 if pinned else 4
+        a = np.zeros((n_eq + len(entries) + (0 if pinned else 2), 2 * d))
+        b = np.zeros(a.shape[0])
+        a[0, :d] = a[1, d:] = b[:2] = 1.0
+        a[2, :d], a[2, d:] = v, -v
+        for i, e in enumerate(entries, n_eq):
+            a[i, :d], a[i, d:] = -q * v * e.fhat.group1, -(1.0 - q) * v * e.fhat.group2
+            b[i] = -e.revenue_floor
+        self.rows = _Rows(a, b, n_eq, c)
+        self._v, self._f1, self._f2, self._width = v, f1, f2, None if pinned else delta * f2
+
+    def _move(self, a, vs) -> None:
+        """Write the moving rows at vs (a scalar, or one v_s per leading row of a)."""
+        v, f2, d = self._v, self._f2, self._v.size
+        vs = np.asarray(vs)[..., None]
+        a[..., 3, :d] = (v - vs) * self._f1
+        band = (v - vs) * f2
+        if self._width is None:
+            a[..., 4, d:] = band
+        else:
+            a[..., -2, d:] = band - self._width
+            a[..., -1, d:] = -(band + self._width)
+
+    def at(self, vs: float) -> _Rows:
+        """The rows at vs, rewritten in place: valid until the next call."""
+        self._move(self.rows.a, vs)
+        return self.rows
+
+    def at_nodes(self, vs: np.ndarray) -> _Rows:
+        """The rows at each vs, stacked on a leading axis."""
+        a, b, n_eq, c = self.rows
+        a = np.repeat(a[None], vs.size, axis=0)
+        self._move(a, vs)
+        return _Rows(a, np.broadcast_to(b, (vs.size, b.size)), n_eq, c)
 
 
-def _active(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    """Rows of _stacked(lp) active at x: equalities, inequalities without slack."""
-    (a, b), n_eq = _stacked(lp), lp.b_eq.size
-    return np.r_[np.arange(n_eq), n_eq + np.flatnonzero(b[n_eq:] - a[n_eq:] @ x <= _NONNEG_TOL)]
+def _phase1(rows: _Rows, d: int, n_floors: int) -> _Rows:
+    """The anchor LP's least violation: max -t with |v'pi1 - v'pi2| <= t and
+    each floor short by at most t, the other rows kept (rows as _AnchorRows
+    stacks them, over any leading axes).  pi1's first weight is one minus
+    the others, so (x, t) still takes 2d variables."""
+    n_eq, m = rows.n_eq, rows.b.shape[-1]
+    order = [1, 3, *range(4, n_eq), 2, 2, *range(n_eq, m)]
+    a = np.concatenate([rows.a[..., order, :],
+                        np.broadcast_to(-np.eye(2 * d)[0], rows.a.shape[:-2] + (1, 2 * d))],
+                       axis=-2)
+    a[..., n_eq - 1, :] = -a[..., n_eq - 1, :]
+    b = np.concatenate([rows.b[..., order], np.zeros(rows.b.shape[:-1] + (1,))], axis=-1)
+    b -= a[..., 0]
+    a[..., 1:d] -= a[..., :1]
+    t = np.r_[np.zeros(n_eq - 2), -np.ones(2 + n_floors), np.zeros(m - n_eq - n_floors + 1)]
+    a = np.concatenate([a[..., 1:], np.broadcast_to(t[:, None], a.shape[:-1] + (1,))], axis=-1)
+    return _Rows(a, b, n_eq - 2, np.r_[np.zeros(2 * d - 1), -1.0])
 
 
-def _vertex(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    """x re-solved from its active rows over its support: one vertex gives
-    the same bits whatever the pivots or the rows that do not bind there (a
-    wider band), so the relaxed optimum cannot dip by rounding as it grows."""
-    (a, b), active, support = _stacked(lp), _active(lp, x), x > _NONNEG_TOL
-    out = np.zeros_like(x)
-    out[support] = np.linalg.lstsq(a[active][:, support], b[active], rcond=None)[0]
+def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The real roots in [lo, hi] of every row of polys (highest degree
+    first), pooled and sorted.  Each row loses its leading coefficients
+    below 1e-10 of its largest (rounding noise) and is then solved as
+    np.roots solves it: exact trailing zeros are roots at 0, the rest are
+    the eigenvalues of the companion matrix.  The companions of one degree
+    go to LAPACK in one stack, each the matrix np.roots would build, so the
+    roots keep np.roots's bits."""
+    size = polys.shape[1]
+    mag = np.abs(polys)
+    big = mag > 1e-10 * np.max(mag, axis=1, initial=0.0, keepdims=True)
+    first = np.argmax(big, axis=1)
+    last = size - 1 - np.argmax(polys[:, ::-1] != 0.0, axis=1)
+    solved = big.any(axis=1) & (first < size - 1)
+    roots = [np.zeros(int(np.sum(size - 1 - last[solved])))]
+    # One stack per (first, last): the companions of polys[:, first:last + 1].
+    keys = np.where(solved & (last > first), first * size + last, -1)
+    for key in np.unique(keys[keys >= 0]):
+        head, tail = divmod(int(key), size)
+        p, m = polys[keys == key], tail - head
+        comp = np.zeros((p.shape[0], m, m))
+        comp[:, 1:, :-1] = np.eye(m - 1)
+        comp[:, 0] = -p[:, head + 1:tail + 1] / p[:, head, None]
+        roots.append(np.linalg.eigvals(comp).ravel())
+    roots = np.concatenate(roots)
+    roots = roots.real[np.abs(roots.imag) <= 1e-7]
+    return np.sort(roots[(roots >= lo) & (roots <= hi)])
+
+
+def _lead_trimmed(p: np.ndarray) -> np.ndarray:
+    """p without its leading zeros, as np.poly1d keeps it (a zero
+    polynomial keeps one)."""
+    nz = np.flatnonzero(p)
+    return p[nz[0]:] if nz.size else np.zeros(1)
+
+
+def _products(pairs, width: int) -> np.ndarray:
+    """np.polymul of each pair, one row each, right-aligned in width
+    columns.  np.polymul convolves its factors as np.poly1d keeps them, so
+    a product can come out short; the zeros in front are what np.polysub
+    pads with."""
+    out = np.zeros((len(pairs), width))
+    for row, factors in zip(out, pairs):
+        p = np.convolve(*map(_lead_trimmed, factors))
+        row[width - p.size:] = p
     return out
 
 
-def _phase1_lp(lp: LinearProgram, d: int, n_floors: int) -> LinearProgram:
-    """The anchor LP's least violation: max -t with |v'pi1 - v'pi2| <= t and
-    each floor short by at most t, the other rows kept (lp's rows are in
-    _anchor_lp's order).  pi1's first weight is one minus the others, so
-    (x, t) still takes 2d variables."""
-    a_ub, b_ub = (m[lp.b_eq.size:] for m in _stacked(lp))
-    n_eq = lp.b_eq.size - 2  # group 1's sum and the mean equality leave
-    a = np.vstack([lp.a_eq[[1, 3]], lp.a_eq[4:], lp.a_eq[2], -lp.a_eq[2], a_ub, -np.eye(2 * d)[0]])
-    b = np.r_[lp.b_eq[[1, 3]], lp.b_eq[4:], 0.0, 0.0, b_ub, 0.0] - a[:, 0]
-    a[:, 1:d] -= a[:, :1]
-    t = np.r_[np.zeros(n_eq), -np.ones(2 + n_floors), np.zeros(b_ub.size - n_floors + 1)]
-    a = np.c_[a[:, 1:], t]
-    return LinearProgram(np.r_[np.zeros(2 * d - 1), -1.0], a_ub=a[n_eq:], b_ub=b[n_eq:],
-                         a_eq=a[:n_eq], b_eq=b[:n_eq])
-
-
-def _real_roots(poly: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Real roots in [lo, hi]; leading coefficients may be rounding noise."""
-    big = np.flatnonzero(np.abs(poly) > 1e-10 * np.max(np.abs(poly), initial=0.0))
-    if big.size == 0 or big[0] >= poly.size - 1:
-        return np.empty(0)
-    roots = np.roots(poly[big[0]:])
-    roots = roots.real[np.abs(roots.imag) <= 1e-7]
-    return roots[(roots >= lo) & (roots <= hi)]
-
-
-def _fit_basis(a_n, b_n, c, n_eq, rows, cols) -> np.ndarray:
+def _fit_basis(nodes: _Rows, rows, cols) -> np.ndarray:
     """A basis (its rows solved over its columns) fitted in u from the rows
     at the fit nodes.  At most three rows move with v_s, affinely (group 1's
     anchor, group 2's pin or band edges), so by Cramer's rule its weights
@@ -492,6 +567,7 @@ def _fit_basis(a_n, b_n, c, n_eq, rows, cols) -> np.ndarray:
     costs Q_k / D (bordered determinants) and its inequalities' duals Y_i / D,
     all of degree <= 3.  Returns the coefficients of D, P, R, -Q and Y, one
     column each: the basis is optimal where all after D have D's sign."""
+    a_n, b_n, n_eq, c = nodes
     m, others = len(cols), [k for k in range(c.size) if k not in cols]
     a = a_n[:, rows][:, :, cols]
     duals = [p for p, i in enumerate(rows) if i >= n_eq]
@@ -508,32 +584,33 @@ def _fit_basis(a_n, b_n, c, n_eq, rows, cols) -> np.ndarray:
     border[:, :, :m, :m] = a[:, None]
     border[:, :, :m, m] = np.swapaxes(a_n[:, rows][:, :, others], 1, 2)
     border[:, :, m, :m], border[:, :, m, m] = c[cols], c[others]
-    values = np.c_[dets[:, :1 + m], slack, -np.linalg.det(border), dets[:, 1 + m:]]
+    values = np.concatenate([dets[:, :1 + m], slack, -np.linalg.det(border), dets[:, 1 + m:]],
+                            axis=1)
     return np.linalg.solve(np.vander(_FIT_NODES), values)
 
 
-def _follow_basis(a_n, b_n, lp: LinearProgram, x: np.ndarray, u0: float):
-    """(lower, upper, rows, cols, coef): the basis of the vertex x at u0 and
-    the stretch of u around it where the basis stays optimal, or None if it
-    fails just right of u0.  A degenerate x (more active rows than weights)
-    is completed with zero weights or zero slacks; the first completion that
-    holds wins.  Zero polynomials (a flat objective's reduced costs) set no
-    bound."""
-    n_eq, active = lp.b_eq.size, list(_active(lp, x))
+def _follow_basis(nodes: _Rows, here: _Rows, x: np.ndarray, u0: float):
+    """(lower, upper, rows, cols, coef): the basis of the vertex x of here
+    (the rows at u0) and the stretch of u around u0 where the basis stays
+    optimal, or None if it fails just right of u0.  A degenerate x (more
+    active rows than weights) is completed with zero weights or zero slacks;
+    the first completion that holds wins.  Zero polynomials (a flat
+    objective's reduced costs) set no bound."""
+    n_eq, active = here.n_eq, list(here.active(x))
     support = list(np.flatnonzero(x > _NONNEG_TOL))
-    spare = [(j, None) for j in range(lp.n) if j not in support]
+    spare = [(j, None) for j in range(x.size) if j not in support]
     spare += [(None, i) for i in active[n_eq:]]
     for extra in itertools.combinations(spare, max(len(active) - len(support), 0)):
         cols = sorted(support + [j for j, _ in extra if j is not None])
         rows = [i for i in active if (None, i) not in extra]
         if len(rows) != len(cols):
             return None  # more weights than active rows: not a vertex
-        coef = _fit_basis(a_n, b_n, lp.objective, n_eq, rows, cols)
+        coef = _fit_basis(nodes, rows, cols)
         scale, d0 = np.max(np.abs(coef[:, 0])), np.polyval(coef[:, 0], u0)
         if abs(d0) <= 1e-9 * scale:
             continue
         live = np.flatnonzero(np.max(np.abs(coef), axis=0) > 1e-11 * scale)
-        roots = np.concatenate([_real_roots(coef[:, j], -1.0, 1.0) for j in live])
+        roots = _real_roots(coef[:, live].T, -1.0, 1.0)
         upper = np.min(roots[roots > u0 + 1e-12], initial=1.0)
         lower = np.max(roots[roots < u0], initial=-1.0)
         vals = np.vander([0.5 * (lower + u0), 0.5 * (u0 + upper)], _FIT_NODES.size) @ coef
@@ -547,29 +624,39 @@ def _basis_points(v, entries, coef, cols, lo, hi, objectives) -> np.ndarray:
     """Where a fitted basis can hold its best point in [lo, hi]: the ends of
     the pieces that clear every snapshot's band and, inside them, the
     stationary points (roots of N'D - ND') of each objective's N / D; none
-    where D vanishes."""
+    where D vanishes.  A stationary point does not depend on the piece, so
+    all are found once and kept where a piece clears."""
     d, den = v.size, coef[:, 0]
     weights = np.zeros((_FIT_NODES.size, 2 * d))
     weights[:, cols] = coef[:, 1:1 + len(cols)]
-    bands = []
-    for e in entries:  # |gap| <= band, times the positive (g1'P1)(g2'P2)
+    # |gap| <= band, times the positive (g1'P1)(g2'P2); per snapshot the
+    # products n1 m2, n2 m1 and m1 m2 of its group means' numerators and
+    # denominators.
+    pairs = []
+    for e in entries:
         g1, g2 = e.fhat.group1, e.fhat.group2
         m1, m2 = weights[:, :d] @ g1, weights[:, d:] @ g2
-        gap = np.polysub(np.polymul(weights[:, :d] @ (v * g1), m2),
-                         np.polymul(weights[:, d:] @ (v * g2), m1))
-        # Half MEMBER_TOL of room: the current snapshot's band binds wherever
-        # its LP row does, and every piece end must pass the membership test.
-        width = (e.delta_s + 0.5 * MEMBER_TOL) * np.polymul(m1, m2)
-        bands += [np.polysub(width, gap), np.polyadd(width, gap)]
-    cuts = np.sort(np.r_[lo, hi, [r for p in bands for r in _real_roots(p, lo, hi)]])
-    points = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if all(np.polyval(p, 0.5 * (a + b)) >= 0.0 for p in bands):
-            points += [a, b]
-            for num in (weights @ obj for obj in objectives):
-                points += list(_real_roots(np.polysub(np.polymul(np.polyder(num), den),
-                                                      np.polymul(num, np.polyder(den))), a, b))
-    points = np.unique(points)
+        pairs += [(weights[:, :d] @ (v * g1), m2), (weights[:, d:] @ (v * g2), m1), (m1, m2)]
+    prods = _products(pairs, 2 * _FIT_NODES.size - 1)
+    gap = prods[0::3] - prods[1::3]
+    # Half MEMBER_TOL of room: the current snapshot's band binds wherever
+    # its LP row does, and every piece end must pass the membership test.
+    width = np.array([e.delta_s + 0.5 * MEMBER_TOL for e in entries])[:, None] * prods[2::3]
+    bands = np.concatenate([width - gap, width + gap])
+    cuts = np.sort(np.concatenate([[lo, hi], _real_roots(bands, lo, hi)]))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    sign = np.zeros((bands.shape[0], mids.size))
+    for col in bands.T:  # np.polyval of every band at every piece's middle
+        sign = sign * mids + col[:, None]
+    clears = np.all(sign >= 0.0, axis=0)
+    starts, ends = cuts[:-1][clears], cuts[1:][clears]
+    nums = [weights @ obj for obj in objectives]
+    der = np.polyder(den)
+    prods = _products([(np.polyder(num), den) for num in nums] + [(num, der) for num in nums],
+                      2 * _FIT_NODES.size - 2)
+    stationary = _real_roots(prods[:len(nums)] - prods[len(nums):], lo, hi)
+    inside = np.any((stationary[:, None] >= starts) & (stationary[:, None] <= ends), axis=1)
+    points = np.unique(np.concatenate([starts, ends, stationary[inside]]))
     return points[np.abs(np.polyval(den, points)) > 1e-9 * np.max(np.abs(den))]
 
 
@@ -578,22 +665,19 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     (Gass-Saaty): solve the LP, fit its basis, score the basis's candidate
     points (_basis_points), and re-solve just past the first root where the
     basis stops being primal or dual feasible.  Each candidate is solved
-    from its basis and goes through _vertex.  The LP's infeasible stretches
-    are walked in its least-violation LP; a basis that cannot be followed is
-    left by ever larger nudges."""
+    from its basis and re-solved as a vertex.  The LP's infeasible
+    stretches are walked in its least-violation LP; a basis that cannot be
+    followed is left by ever larger nudges."""
     d, c = v.size, spec.c
     lo, hi = float(v[0]), float(v[-1])
     if hi <= lo:
         return None  # one price: the fixed-price candidate is the answer
     lp_c = c + _REVENUE_TIE * np.r_[q * v * f1, (1.0 - q) * v * f2]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    anchor = _AnchorRows(v, f1, f2, q, delta, entries, lp_c)
 
-    def lp_at(u, phase=False):
-        lp = _anchor_lp(v, f1, f2, q, delta, entries, lp_c, mid + half * u)
-        return _phase1_lp(lp, d, len(entries)) if phase else lp
-
-    def keep(u, lp, x):
-        x = _vertex(lp, x)
+    def keep(u, rows, x):
+        x = rows.vertex(x)
         if _clears_ledger(v, q, entries, x[:d], x[d:]):
             found.append(_row_from_weights(v, f1, f2, q, float(c @ x), mid + half * u,
                                            x[:d], x[d:]))
@@ -601,32 +685,31 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     nodes, found = {}, []
     u, done, nudge = -1.0 + 2.0 * _NUDGE, -1.0, 2.0 * _NUDGE
     while u <= 1.0:
-        lp = lp_at(u)
-        res = lp_maximize(lp)
+        rows = anchor.at(mid + half * u)
+        res = lp_maximize(rows.lp())
         phase = res.status != OPTIMAL
         if phase:
-            lp = lp_at(u, True)
-            res = lp_maximize(lp)
+            rows = _phase1(rows, d, len(entries))
+            res = lp_maximize(rows.lp())
         if phase not in nodes:
-            nodes[phase] = [np.array(m) for m in zip(*(_stacked(lp_at(w, phase))
-                                                       for w in _FIT_NODES))]
-        x = _vertex(lp, res.x) if res.status == OPTIMAL else None
-        seg = None if x is None else _follow_basis(*nodes[phase], lp, x, u)
+            at_nodes = anchor.at_nodes(mid + half * _FIT_NODES)
+            nodes[phase] = _phase1(at_nodes, d, len(entries)) if phase else at_nodes
+        x = rows.vertex(res.x) if res.status == OPTIMAL else None
+        seg = None if x is None else _follow_basis(nodes[phase], rows, x, u)
         if seg is None:  # degenerate, or a basis that ends at once: nudge on
             if not phase:
-                keep(u, lp, x)
+                keep(u, rows, x)
             u, nudge = u + nudge, 10.0 * nudge
             continue
-        lower, upper, rows, cols, coef = seg
+        lower, upper, basis, cols, coef = seg
         u, nudge = upper + 2.0 * _NUDGE, 2.0 * _NUDGE
         if phase:
             continue
         for w in _basis_points(v, entries, coef, cols, max(lower, done), upper, (c, lp_c)):
-            lp = lp_at(w)
-            a_w, b_w = _stacked(lp)
+            rows = anchor.at(mid + half * w)
             x = np.zeros(2 * d)
-            x[cols] = np.linalg.lstsq(a_w[rows][:, cols], b_w[rows], rcond=None)[0]
-            keep(w, lp, x)
+            x[cols] = np.linalg.lstsq(rows.a[basis][:, cols], rows.b[basis], rcond=None)[0]
+            keep(w, rows, x)
         done = upper
     return max(found, key=lambda r: (r.value, r.revenue), default=None)
 

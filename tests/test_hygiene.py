@@ -1,4 +1,5 @@
-"""Source hygiene that needs no linter: every module-level import is used."""
+"""Source hygiene that needs no linter: every module-level import is used,
+and every module-level private name is referenced somewhere in the package."""
 
 from __future__ import annotations
 
@@ -42,3 +43,47 @@ def test_the_check_catches_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and constants (one leading
+    underscore, not dunder) a module defines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level private name that no module of
+    ``sources`` (name -> source) reads, as a name, an attribute or an
+    import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return [f"{name}:{private}" for name, tree in sorted(trees.items())
+            for private in _private_definitions(tree) if private not in read]
+
+
+def test_the_check_catches_an_unreferenced_private_name():
+    sources = {"a": "_LIMIT = 3\ndef _used(x):\n    return x < _LIMIT\n"
+                    "def _stale():\n    pass\nclass _Old:\n    pass\n",
+               "b": "from .a import _used\nimport a\nprint(a._Old, _used(1))\n"}
+    assert unreferenced_private_names(sources) == ["a:_stale"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

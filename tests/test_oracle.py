@@ -1,5 +1,8 @@
 """Fair-optimal solvers, the worked example's closed forms, and the ledger."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +238,162 @@ def test_searches_solve_few_lps(monkeypatch):
     calls.clear()
     solve_relaxed_optimal(_random_market(np.random.default_rng(4), 4), 0.03)
     assert 0 < len(calls) <= 40
+
+
+def _golden_solve(name):
+    """The market and band a GOLDEN_SOLVES key names: ``eps-<eps>-<delta>``,
+    ``hard-<d>-<delta>`` (lowerbound_family_market(2, d, 1e5)) or
+    ``random-<d>-<seed>-<delta>`` (_random_market)."""
+    kind, *args = name.split("-")
+    if kind == "eps":
+        return example_eps_market(float(args[0])), float(args[1])
+    if kind == "hard":
+        return lowerbound_family_market(2, int(args[0]), 100_000), float(args[1])
+    d, seed, delta = args
+    return _random_market(np.random.default_rng(int(seed)), int(d)), float(delta)
+
+
+def _solve_digest(market, delta):
+    """SHA-256 of a relaxed solve's revenue, weights and point, and of the
+    number of LPs it solved."""
+    with mock.patch.object(oracle, "lp_maximize", wraps=oracle.lp_maximize) as spy:
+        sol = solve_relaxed_optimal(market, delta)
+    p = sol.point
+    bits = np.r_[sol.revenue, sol.policy.weights(1), sol.policy.weights(2), p.v_s, p.alpha, p.beta]
+    return hashlib.sha256(bits.tobytes() + str(spy.call_count).encode()).hexdigest()
+
+
+# _solve_digest of each solve, recorded at commit f1d4455.  A change meant to
+# keep the search's bits and LP count must keep these; one that moves them on
+# purpose records the new digests here and says why.
+GOLDEN_SOLVES = {
+    "eps-0-0": "e57f3e169098ee8a6bc33e48d11cf2aad03d81ceb6aaa462d640eb6799bfd378",
+    "eps-0-0.01": "983fb83c75e8cb22196bc3e4c9ccffc7727e76ebabda725ad1409a6c4cf6534d",
+    "eps-0-0.03": "e9fe9a0a33a4b45699b87760e9669131d87b4633f9b3c0a52725b73bbd5ea091",
+    "eps-0.0001-0": "b8a6e548a7ca475725f9917019adc105c097a22c620c4031d8009d3efeb73fb7",
+    "eps-0.0001-0.01": "b323e5d00a3eb60cde7490257b6d4db534f6c5c26dcd827a2e1690b2d5be4a3b",
+    "eps-0.0001-0.03": "2ef2387cadf380108408904f28af4b1957b266d2d31365c2d89249d6a4ca9e39",
+    "eps-0.001-0": "4bb931ccc3927b90a21aab4fde2b4e6153ca8903a15eba75e12141c3890e8046",
+    "eps-0.001-0.01": "59962b3120ac9776ec2aa6eab492af68b7fae9ccb3af6843bf87f95c03f60aaf",
+    "eps-0.001-0.03": "94078a9425ad5650593dcff862217028a7f9e91f16fab0a78bb692cb4d9ae76c",
+    "eps-0.01-0": "b0488a26bb85d6c14368f9cd85202893edbf9fafb343524f55c064c0a0947be3",
+    "eps-0.01-0.01": "ebe7518cbaaae8de466f58031e409eb0adcdb70724761d56f4810eba784dead6",
+    "eps-0.01-0.03": "0ec9e471d66ebc8ae68fda0f0f0a6a46de79a163e0754426ab9c35608d6e641b",
+    "hard-4-0": "0c16191f18067eb04adb685efd8ebfce414d806990a43087305dfe608b752418",
+    "hard-4-0.03": "0c16191f18067eb04adb685efd8ebfce414d806990a43087305dfe608b752418",
+    "hard-5-0": "0f95658187343bfbb3d1d483ac562d98377dbbec6c9ada1d5bb99957f281be7d",
+    "hard-5-0.03": "0f95658187343bfbb3d1d483ac562d98377dbbec6c9ada1d5bb99957f281be7d",
+    "random-3-0-0": "18b5e2c151a0118ffd4c92268c0ecafbeda632d83ca85542db866cc7249d19a5",
+    "random-3-0-0.03": "80184dcfe42df6cd7237dafc376428f10ccb0716111e4cc7168f823cbfe92755",
+    "random-3-1-0": "b09f8ca70a4f8a6be9c883bb8bfc25923e507814afdec053b4a78ca6603df423",
+    "random-3-1-0.03": "1451cde52791cd4f2c32724cc70a2700ae3e44694a33a3aa0245a904501166af",
+    "random-3-2-0": "96ed18a588fa4a5c4e541bd96870243d9bbf45203865a66e3f410574528b65a7",
+    "random-3-2-0.03": "cc9a96c3531a3bd1e11324fbd71f647bc6382bcf19b8f1ae3dc416ba61535caf",
+    "random-3-3-0": "96f8989e3049b776acf8c2de5867d5ea3da29aca6c46696bbdcded122d56b567",
+    "random-3-3-0.03": "1d08578743e50968c88fa8edcfdebe67d4e79411082a101fa0388089c9077918",
+    "random-3-4-0": "0c387eebe40c17ec6e93f4947b3f90269de5d55a57784bea34685b01cde1518a",
+    "random-3-4-0.03": "54711e29444f5f20703cf689c5c8ac93f4062a48facec8be5017707cd18aa166",
+    "random-4-0-0": "5eb7f5e7ed71bbef1cf731bc5931a27f5da2627ca18976c3b8299f21a01416cb",
+    "random-4-0-0.03": "ddeda93198600830fc730a8086ba268c0a1b6f654f2e033f3be29ba60cade870",
+    "random-4-1-0": "74b8e6fb28eb86e1ba4b314fd18a9baa82d3cbd970a48149bfcdf12ee804110d",
+    "random-4-1-0.03": "74b8e6fb28eb86e1ba4b314fd18a9baa82d3cbd970a48149bfcdf12ee804110d",
+    "random-4-2-0": "0a86edc82c7f2f7be6530c4b441c964ae8c9f27178e0b64dcb104ad11addf979",
+    "random-4-2-0.03": "dfd128283d9991d2f458c5b2d2ab79d960a9f22348b495b0aad7090047890c89",
+    "random-4-3-0": "cd97cd6688a4349a4edc3558a25a99534c6b8df454ed71cec6c8e1a2cd87d39f",
+    "random-4-3-0.03": "067c703311f3d492ac56ec50aba917d4f2391820b17ef0a0def27c42ce0c033f",
+    "random-4-4-0": "b8f78c6184f8a695570a1dcbc3b2163a4f5f1e480f878d10984b6479d86eda49",
+    "random-4-4-0.03": "b8f78c6184f8a695570a1dcbc3b2163a4f5f1e480f878d10984b6479d86eda49",
+    "random-5-0-0": "2650a0ce18b0f78e5f9532a0b725183d9c179d5361c0edf43b57ef50dde3452a",
+    "random-5-0-0.03": "5a3fcee85e985666a012f1ff0a4122a519032a6a9c8067e8634f4b99e34ac823",
+    "random-5-1-0": "9ddda38cdaaee860ed1eff058d143d2eec695e478af8d6e01cbb9fdae4d3dce0",
+    "random-5-1-0.03": "9ddda38cdaaee860ed1eff058d143d2eec695e478af8d6e01cbb9fdae4d3dce0",
+    "random-5-2-0": "387f3f67fb90dd4ac06c5e95263e15ccae3630b92012a09ebabc5b1db08a99a0",
+    "random-5-2-0.03": "b200be3f336a80dbd8dc1906f07b98a5407a340e11e74333d147ec867dec1611",
+    "random-5-3-0": "be78e38e982f2a519d0a525e4b6de7936e2638f4920c0f7aa5f46bbd1115d418",
+    "random-5-3-0.03": "ccdbbf900e5cca71e73775cc44482e27d35e8efdea4d2276adfdbc6dc1e52dc0",
+    "random-5-4-0": "a85eda2c77093e8e1aba7cb1d4a9d875899ab34baaeb89a42abb2e719aab6ab1",
+    "random-5-4-0.03": "264039eb8fd04d34dce99746533d0806ad1a7a31ffcab48542c32ac7b5e9251b",
+    "random-6-0-0": "cb980b2523b7c4ee2df30b6b6accda48245f04cd2ca1a38698c04eab91184cd8",
+    "random-6-0-0.03": "03b98a11b7486e87c436ced8d81f153e92c4abfe303944cf6c756b59615255b7",
+    "random-6-1-0": "9f8cf8e6ded291fa891d6820c542c9bcf7408f89e203662d90276ab815b493db",
+    "random-6-1-0.03": "f9d74610b447b27de3c21fccb7316e1c33001c9b2c2ff73380f14ecb4c879ca7",
+    "random-6-2-0": "94e39d356a4249bd56a9539de09fc8f73e5d96f0babf7902171506663e2a99af",
+    "random-6-2-0.03": "863bfcf7846d3a707bbdab91e0b5a2fdc6487241eecb45855bc2a958e04ae8dd",
+    "random-6-3-0": "da0b30b3766af7e0e69cf97454f6226594b74ece57c3d1497ba1c3566c24cb8f",
+    "random-6-3-0.03": "f2e5d8441ebe99d2bc642206b5f811c5453becf1c9d078e02209384f1aba9969",
+    "random-6-4-0": "d99da68270eb39c9757c3a13a5aedf38e4dbb648a4db6800c0e29f05ed1ffaec",
+    "random-6-4-0.03": "b468bf8a85898747b0660084b8e3b7645e808dc67e6775db2255464eacdc6192",
+    "random-7-0-0": "838b41677a1e446bab47695066a509b2650d203a9842f069ed4bfe34a4f0f626",
+    "random-7-0-0.03": "e94dac3374c07592ba14df8ddc3f97b49d7022d0c39e5e690bec52a11cd1f417",
+    "random-7-1-0": "ae133f7935d7554e4527e2a0c6332b5e08f97c191494ef416ed53523f1b1d9be",
+    "random-7-1-0.03": "07bcf3428e309eb757ea3c37910598cb1332172e57bc5c507822aae010c50027",
+    "random-7-2-0": "70ffc4c18363435105f40b407ea14b2b58d73b27c04fadcab79e4310f335af5a",
+    "random-7-2-0.03": "d01889823ddf691e0c3a7a71649cc9425e9e64893bd059114e0e5490b5f0367d",
+    "random-7-3-0": "78c23f81df304283af513675dd4a57e34d27ab404c8f13fecfc85dab772d3899",
+    "random-7-3-0.03": "34525aa99d9de24b88b39c084e98e10be8dc55a7324a306cc722751548f0cde2",
+    "random-7-4-0": "6038f2a43e707d6a35b58393c3193608c2eab2401ca501c4c192a5dac39cea5f",
+    "random-7-4-0.03": "55cc87dbc0ec581caa38ca6808057f6533315fba80157c0c567a3d5adb3445b7",
+    "random-8-0-0": "090bae65cb7fe920b5f4adee7af4241c3ba473c399a10e81d77086b3f97dc8e8",
+    "random-8-0-0.03": "f537f4761fedf64294e2ecf7381214d222432b622ff64abedebeec7f2841b4b0",
+    "random-8-1-0": "152c2d36ffbfc7fa6d81a1e051681a535793600fac43c8783c1b40f0d88595e8",
+    "random-8-1-0.03": "11b2fb67d1298fd07e654cc6d5b1e925e828a16f0691964f97e20283e83e2c58",
+    "random-8-2-0": "79ebbdb6be94bdb7b26e3b121c9b62cf567aadcb543f699127f2e5b6ed71bd0f",
+    "random-8-2-0.03": "344fc47a644cdcc12d95eaf22434f79a7459ca65448cce5fded9da01d7f12960",
+    "random-8-3-0": "fc7cdece38562542a5e1e359eb9cf2013f596cd6fbf6955842dd33b0ab243bfb",
+    "random-8-3-0.03": "fcbc5385dbe0cf74ba8176ea4ac14f09f5efe3dad6b73050bab4f0d7e16c1c22",
+    "random-8-4-0": "bd454155a5d9f67737d7920c44a353338213a64929d909e730f916960f759e55",
+    "random-8-4-0.03": "0a23938905bff44d9006945d3c7a3508418a5a55ac05c5489c4fa4e2d26d6dc8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVES))
+def test_solve_bits_match_the_golden_digests(name):
+    assert _solve_digest(*_golden_solve(name)) == GOLDEN_SOLVES[name]
+
+
+def _roots_one_at_a_time(polys, lo, hi):
+    """The walk's root finding before it was batched: np.roots on each
+    polynomial, after dropping leading coefficients below 1e-10 of its
+    largest."""
+    found = []
+    for poly in polys:
+        big = np.flatnonzero(np.abs(poly) > 1e-10 * np.max(np.abs(poly), initial=0.0))
+        if big.size == 0 or big[0] >= poly.size - 1:
+            continue
+        roots = np.roots(poly[big[0]:])
+        roots = roots.real[np.abs(roots.imag) <= 1e-7]
+        found += list(roots[(roots >= lo) & (roots <= hi)])
+    return np.sort(found)
+
+
+@st.composite
+def polynomial_lists(draw):
+    """Up to six polynomials of 1-9 coefficients: some with a leading
+    coefficient at 1e-12 of the largest, some with exact trailing zeros,
+    some all zero."""
+    polys = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(1, 9))
+        coef = st.one_of(st.just(0.0), st.floats(-100.0, 100.0, allow_subnormal=False))
+        poly = np.array(draw(st.lists(coef, min_size=n, max_size=n)))
+        if n > 1 and draw(st.booleans()):
+            poly[0] = 1e-12 * np.max(np.abs(poly))
+        poly[n - draw(st.integers(0, n)):] = 0.0
+        polys.append(poly)
+    return polys
+
+
+@settings(max_examples=300)
+@given(polynomial_lists(), st.floats(-5.0, 0.0), st.floats(0.0, 5.0))
+def test_batched_roots_are_the_roots_of_each_polynomial(polys, lo, hi):
+    """One stack of companion matrices per degree finds, bit for bit, the
+    roots np.roots finds one polynomial at a time; shorter polynomials are
+    padded with leading zeros into one array."""
+    width = max((p.size for p in polys), default=1)
+    stack = np.zeros((len(polys), width))
+    for row, poly in zip(stack, polys):
+        row[width - poly.size:] = poly
+    assert np.array_equal(oracle._real_roots(stack, lo, hi), _roots_one_at_a_time(polys, lo, hi))
 
 
 @st.composite
@@ -572,3 +731,33 @@ def test_batched_probes_match_single_calls_when_nothing_survives(example_market)
 def test_batched_probes_accept_an_empty_probe_list(example_market):
     ledger = _ledger_with(example_market, 0.02, 0.4)
     assert max_probability_policies([], example_market.accept, ledger, 0.02) == []
+
+
+# ---------------------------------------------------------------------------
+# learning at d = 4: the optimum survives the agent's eliminations
+# ---------------------------------------------------------------------------
+
+# The first _random_market(default_rng(s), 4), s = 0, 1, ..., whose FPA runs
+# at T = 1e5 eliminate a price in every one of seeds 0-19 (s = 172).  It was
+# picked by that rule alone, before retention was looked at.
+RETENTION_SEED, RETENTION_HORIZON = 172, 100_000
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: seed 2 drops the optimum (fixed price 3) at its first snapshot, whose "
+    "revenue floor its estimated revenue misses by 2.4e-4; 19 of 20 seeds keep it"))
+def test_d4_runs_keep_the_optimum_in_every_ledger_prefix():
+    market = _random_market(np.random.default_rng(RETENTION_SEED), 4)
+    optimum = solve_fair_optimal(market).policy
+    lost = []
+    for seed in range(20):
+        agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=RETENTION_HORIZON,
+                                   seed=seed))
+        run_episode(agent, market, RETENTION_HORIZON, seed=seed, record_every=10**9)
+        assert any(len(prices) < 4 for prices in agent.price_sets), seed
+        entries = agent.ledger.entries
+        for n in range(1, len(entries) + 1):
+            if not member(optimum, EliminationLedger(market.grid, market.q, list(entries[:n]))):
+                lost.append((seed, n))
+                break
+    assert lost == [], "(seed, first ledger prefix without the optimum)"
