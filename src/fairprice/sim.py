@@ -14,12 +14,11 @@ bit for bit and paired comparisons across markets share their draws.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -211,8 +210,10 @@ def eps_family_policy(eps: float, v_s: float, alpha: float) -> PolicyPair:
 # episode runner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One kept round of an episode, in the trace CSV's column order.  Fields
+    read by name; equality, iteration and ``len`` are a tuple's."""
+
     t: int
     group: int
     price_index: int
@@ -258,23 +259,18 @@ class RunTrace:
         }
 
 
-_CSV_COLUMNS = ("t", "group", "price_index", "accepted", "reward", "inst_regret",
-                "inst_s", "inst_u", "cum_regret", "cum_s", "cum_u", "cum_reward", "epoch")
+_CSV_COLUMNS = RoundRecord._fields
+# One row per record, as csv.writer wrote it: %d of a bool is 0/1, %.17g is
+# the format of f"{x:.17g}", and \r\n is csv.writer's line terminator.
+_CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + ",%d\r\n"
 
 
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Write the thinned records with floats at full 17-significant-digit
     precision, so identical runs produce byte-identical files."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in trace.records:
-            writer.writerow([
-                r.t, r.group, r.price_index, int(r.accepted), f"{r.reward:.17g}",
-                f"{r.inst_regret:.17g}", f"{r.inst_s:.17g}", f"{r.inst_u:.17g}",
-                f"{r.cum_regret:.17g}", f"{r.cum_s:.17g}", f"{r.cum_u:.17g}",
-                f"{r.cum_reward:.17g}", r.epoch,
-            ])
+        fh.write(",".join(_CSV_COLUMNS) + "\r\n")
+        fh.writelines(_CSV_ROW % r for r in trace.records)
 
 
 def write_summary_json(summary: dict, path: str) -> None:
@@ -422,15 +418,18 @@ def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int
             float(c[-1]) for c in cums)
         if inst_u > trace.max_inst_u:
             trace.max_inst_u = inst_u
-        rounds = np.arange(t + 1, t + n + 1)
-        keep = np.flatnonzero((rounds % record_every == 0) | (rounds == 1)
-                              | (rounds == horizon))
+        # kept rounds: the multiples of record_every, round 1 and the horizon
+        keep = np.arange(record_every - 1 - t % record_every, n, record_every)
+        ends = [0] * (t == 0) + [n - 1] * (t + n == horizon)
+        if ends:
+            keep = np.union1d(keep, ends)
         if keep.size:
-            columns = [a[keep].tolist() for a in (rounds, groups, idx, accepted, reward)]
+            columns = [(keep + t + 1).tolist()]
+            columns += [a[keep].tolist() for a in (groups, idx, accepted, reward)]
+            columns += [[x] * keep.size for x in (inst_regret, inst_s, inst_u)]
             columns += [c[keep + 1].tolist() for c in cums]
-            trace.records.extend(
-                RoundRecord(r, g, i, a, w, inst_regret, inst_s, inst_u, cr, cs, cu, cw, epoch)
-                for r, g, i, a, w, cr, cs, cu, cw in zip(*columns))
+            columns.append([epoch] * keep.size)
+            trace.records.extend(map(RoundRecord._make, zip(*columns)))
         t += n
         if ledger is not None and len(ledger) != ledger_len:
             ledger_len = len(ledger)

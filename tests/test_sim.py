@@ -1,6 +1,7 @@
 """Episode runner, built-in markets, hard-instance family, and baselines."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,10 +9,13 @@ import math
 import numpy as np
 import pytest
 
+import fairprice.sim
 from fairprice import (
     BASELINE_KINDS,
     FpaAgent,
     FpaConfig,
+    RoundRecord,
+    RunTrace,
     baseline_agent,
     best_fixed_price,
     example1_market,
@@ -235,3 +239,111 @@ def test_summary_json_is_sorted_and_newline_terminated(tmp_path, example_market)
     assert loaded["horizon"] == 20
     assert list(loaded) == sorted(loaded)
     assert loaded["avg_reward"] == pytest.approx(trace.cum_reward / 20.0)
+
+
+def test_round_record_is_a_read_only_record_by_name(example_market):
+    agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
+                               horizon=40, seed=0))
+    batched = run_episode(agent, example_market, 40, seed=0, oracle_revenue=R_STAR)
+    rounds = run_episode(baseline_agent("best_fixed", example_market), example_market,
+                         30, seed=0, record_every=10, oracle_revenue=R_STAR)
+    for trace in (batched, rounds):
+        assert isinstance(trace.records, list)
+        assert all(isinstance(r, RoundRecord) for r in trace.records)
+    last = rounds.records[-1]
+    assert (last.t, last.price_index, last.epoch) == (30, 2, 0)
+    assert last.cum_reward == rounds.cum_reward
+    with pytest.raises(AttributeError):
+        last.t = 31
+    assert batched.records[-1].t == 40
+
+
+def test_csv_header_and_row_format_cover_every_field():
+    assert fairprice.sim._CSV_COLUMNS == RoundRecord._fields
+    assert fairprice.sim._CSV_ROW.count("%") == len(RoundRecord._fields)
+
+
+def _csv_writer_bytes(trace: RunTrace) -> bytes:
+    """The trace CSV as csv.writer wrote it before the one-pass writer: the
+    reference that writer must match byte for byte."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("t", "group", "price_index", "accepted", "reward", "inst_regret",
+                     "inst_s", "inst_u", "cum_regret", "cum_s", "cum_u", "cum_reward",
+                     "epoch"))
+    for r in trace.records:
+        writer.writerow([
+            r.t, r.group, r.price_index, int(r.accepted), f"{r.reward:.17g}",
+            f"{r.inst_regret:.17g}", f"{r.inst_s:.17g}", f"{r.inst_u:.17g}",
+            f"{r.cum_regret:.17g}", f"{r.cum_s:.17g}", f"{r.cum_u:.17g}",
+            f"{r.cum_reward:.17g}", r.epoch,
+        ])
+    return buf.getvalue().encode()
+
+
+EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1 + 0.2, 1.0 / 3.0,
+               2.0 / 3.0 * 1e-7, 12345678901234567.0, np.float64(0.7), np.float64(-1e-310)]
+
+
+def _edge_trace() -> RunTrace:
+    """Hand-built records: every float column cycles through EDGE_FLOATS, and
+    the integer columns hold the numpy scalars the per-round path stores."""
+    trace = RunTrace(horizon=len(EDGE_FLOATS), seed=0, oracle_revenue=0.5)
+    for k in range(len(EDGE_FLOATS)):
+        floats = [EDGE_FLOATS[(k + j) % len(EDGE_FLOATS)] for j in range(8)]
+        trace.records.append(RoundRecord(
+            np.int64(k + 1) if k % 2 else k + 1, 1 + k % 2, np.int64(k % 3),
+            np.bool_(k % 3 == 0) if k % 2 else k % 3 == 0, np.float64(floats[0]),
+            *floats[1:], 10**12 + k))
+    return trace
+
+
+@pytest.mark.parametrize("source", ["edge", "ucb_fixed", "fpa"])
+def test_trace_csv_bytes_match_the_csv_writer(tmp_path, example_market, source):
+    if source == "edge":
+        trace = _edge_trace()
+    elif source == "ucb_fixed":
+        trace = run_episode(baseline_agent("ucb_fixed", example_market), example_market,
+                            300, seed=1, record_every=7, oracle_revenue=R_STAR)
+    else:
+        agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
+                                   horizon=800, seed=2))
+        trace = run_episode(agent, example_market, 800, seed=2, oracle_revenue=R_STAR)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    data = path.read_bytes()
+    assert data == _csv_writer_bytes(trace)
+    assert data.count(b"\r\n") == len(trace.records) + 1
+    assert b"\n" not in data.replace(b"\r\n", b"")
+
+
+# SHA-256 of (trace CSV, summary JSON) of per-round-path baseline episodes on
+# the example market: T = 2000, seed 0, the closed-form fair optimum as the
+# fair_oracle policy.  Recorded at commit 2bf9cea, before the trace writer
+# dropped csv.writer.
+PER_ROUND_DIGESTS = {
+    ("ucb_fixed", 1): ("561498ff7d0739c3694648d9e54c837260e1c34cd916aaf65116075414dc65f0",
+                       "f5480fe088b50d285d51f2e0ae5ffdbae991d80f542ef82a4ea0114bd47a5fba"),
+    ("ucb_fixed", 7): ("73af2c41ebac98175ce4566d2b35c6f3fd73d89594e4eab226341990a1e2e796",
+                       "f5480fe088b50d285d51f2e0ae5ffdbae991d80f542ef82a4ea0114bd47a5fba"),
+    ("fair_oracle", 1): ("4386ebea9a06796dfeeea2b285d865ebb7954e0f73a8a83fc024cdf8d33793f3",
+                         "cc335e55cae6b802fec9362601c931d54c3fcac1e1bc892fb0f7aefab0da73b6"),
+    ("fair_oracle", 7): ("f5ad3a3ea32fd602fd80adfb411faee22acc5d7bc9a5e6092713f13b705cde89",
+                         "cc335e55cae6b802fec9362601c931d54c3fcac1e1bc892fb0f7aefab0da73b6"),
+}
+
+
+@pytest.mark.parametrize("kind,record_every", sorted(PER_ROUND_DIGESTS))
+def test_per_round_episode_bytes_match_the_golden_digests(tmp_path, example_market,
+                                                          example_closed_form, kind,
+                                                          record_every):
+    agent = baseline_agent(kind, example_market, seed=0, policy=example_closed_form.policy)
+    trace = run_episode(agent, example_market, 2000, seed=0, record_every=record_every,
+                        oracle_revenue=R_STAR)
+    write_trace_csv(trace, str(tmp_path / "trace.csv"))
+    write_summary_json(trace.summary(), str(tmp_path / "summary.json"))
+    want = PER_ROUND_DIGESTS[kind, record_every]
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == want[0], \
+        "trace CSV differs"
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == want[1], \
+        "summary JSON differs"
