@@ -16,6 +16,7 @@ group ``e`` who actually accept.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import random
 import threading
@@ -34,6 +35,15 @@ DEFAULT_F_MIN = 0.05
 _BLOCK_BITS = np.random.MT19937(0)
 _BLOCK_GEN = np.random.Generator(_BLOCK_BITS)
 _BLOCK_LOCK = threading.Lock()
+# The generator's state in place, as numpy lays it out: 624 key words, then
+# pos.  Reading it here skips the ``state`` getter's per-word copy; the view
+# is checked against that getter once.
+_BLOCK_WORDS = np.frombuffer((ctypes.c_uint32 * 625).from_address(
+    _BLOCK_BITS.ctypes.state_address), dtype=np.uint32)
+_state = _BLOCK_BITS.state["state"]
+if not (np.array_equal(_BLOCK_WORDS[:624], _state["key"]) and _BLOCK_WORDS[624] == _state["pos"]):
+    raise ImportError("numpy's MT19937 state layout is not 624 key words then pos")
+del _state
 
 
 class ZeroAcceptanceError(ValueError):
@@ -62,12 +72,12 @@ def draw_block(rng: random.Random, n: int) -> np.ndarray:
     """
     version, internal, gauss_next = rng.getstate()
     with _BLOCK_LOCK:
+        # The setter copies a tuple key word by word; no array is built.
         _BLOCK_BITS.state = {"bit_generator": "MT19937",
-                             "state": {"key": np.array(internal[:-1], dtype=np.uint32),
-                                       "pos": internal[-1]}}
+                             "state": {"key": internal[:-1], "pos": internal[-1]}}
         out = _BLOCK_GEN.random(n)
-        state = _BLOCK_BITS.state["state"]
-    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+        internal = tuple(_BLOCK_WORDS.tolist())
+    rng.setstate((version, internal, gauss_next))
     return out
 
 

@@ -46,7 +46,7 @@ from .core import (
     expected_revenue,
     fixed_price_policy,
 )
-from .linsolve import OPTIMAL, LinearProgram, lp_maximize
+from .linsolve import MAX_LP_VARS, OPTIMAL, LinearProgram, lp_maximize
 
 # Slack of every ledger membership test (search constraints carry none).
 MEMBER_TOL = 1e-9
@@ -243,75 +243,97 @@ def _pin_group(v: np.ndarray, f: np.ndarray, vs_vals: np.ndarray, vr: np.ndarray
     return a, b, feas
 
 
-def _affine_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, rows: np.ndarray, t=None,
-                n_dir=None):
-    """u -> (a + vr * b + t * n_dir) @ u over flat cells, cell k in v_s row
-    rows[k]: products with whole rows of a and b are taken once per row and
-    gathered, so no per-cell weight array is built.  The scan passes only
-    the cells group 1's pin admits."""
-    def dot(u):
-        out = vr * (b @ u)[rows]
-        out += (a @ u)[rows]
-        if t is not None:
-            out += t * float(n_dir @ u)
-        return out
-    return dot
+def _pin_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """(a + vr * b) @ u over flat cells, cell k in v_s row rows[k]: products
+    with whole rows of a and b are taken once per row and gathered, so no
+    per-cell weight array is built.  The scan passes only the cells still
+    alive; rows = 0 takes a pin that is one row broadcast over every v_s."""
+    out = vr * (b @ u)[rows]
+    out += (a @ u)[rows]
+    return out
 
 
-def _tighten(a, b, t_lo, t_hi, feas):
-    """Impose a + t*b <= 0 elementwise on the interval [t_lo, t_hi].  Works in
-    place and uses a up."""
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    up, down = b > _DET_TOL, b < -_DET_TOL
-    feas &= up | down | (a <= _NONNEG_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cand = np.divide(a, b, out=a)
+def _tighten(a, b, t_lo, t_hi, feas) -> None:
+    """Impose a + t*b <= 0 elementwise on the interval [t_lo, t_hi], folding
+    into t_lo, t_hi and feas in place; uses a up.  A scalar slope b needs no
+    masks.  Division by a zero slope is masked out, so the scan runs this
+    under np.errstate."""
+    if np.ndim(b) == 0:
+        up, down = bool(b > _DET_TOL), bool(b < -_DET_TOL)
+        if not (up or down):
+            feas &= a <= _NONNEG_TOL
+            return
+    else:
+        up, down = b > _DET_TOL, b < -_DET_TOL
+        feas &= up | down | (a <= _NONNEG_TOL)
+    cand = np.divide(a, b, out=a)
     np.negative(cand, out=cand)
     np.fmin(t_hi, cand, out=t_hi, where=up)
     np.fmax(t_lo, cand, out=t_lo, where=down)
-    return t_lo, t_hi, feas
 
 
-def _group2_segment(v, q, f2, vs_vals, vr, rows, delta, entries, dot1):
+class _Cells:
+    """The scan's live cells, flat in row-major grid order: proposed mean,
+    v_s row, and group 2's segment [t_lo, t_hi] so far."""
+
+    def __init__(self, vr: np.ndarray, rows: np.ndarray):
+        self.vr, self.rows = vr, rows
+        self.t_lo, self.t_hi = np.full(rows.size, -np.inf), np.full(rows.size, np.inf)
+
+    def keep(self, feas: np.ndarray) -> None:
+        """Drop the cells whose segment is infeasible or empty, in place.
+        t_lo only rises, t_hi only falls and feas only clears, so no dropped
+        cell could come back."""
+        alive = feas & (self.t_lo <= self.t_hi + _NONNEG_TOL)
+        self.vr, self.rows, self.t_lo, self.t_hi = (
+            x[alive] for x in (self.vr, self.rows, self.t_lo, self.t_hi))
+
+
+def _group2_segment(v, q, f2, vs_vals, cells: _Cells, delta, entries, a1, b1):
     """Group 2 as segments pi(t) = a + vr * b + t * n_dir along the common
     null direction of the sum and proposed-mean rows, with every group-2 row
     folded into [t_lo, t_hi]: nonnegativity, the current band (delta = 0
     shrinks the segment to a point), and each snapshot's band and floor.
-    Cells are flat as in _affine_dot.
+    Cells are dropped once a fold cuts them, after the segment's own rows
+    and after each snapshot; group 1's pin (a1, b1) is per v_s row.
 
     With pi1 fixed per cell a snapshot's rows are linear in pi2 (the gap
     ratio multiplied through by the positive acceptance mass), so the fold
     is exact; its band rows are +-(gap, gap_dir) - width * (base_1, dir_1).
-    Returns (a, b, n_dir, t_lo, t_hi, feasible).
+    Returns (a, b, n_dir); ``cells`` is compacted in place.
     """
     n_dir = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
     p, s, det = _adjugate_cols(v, n_dir)  # det = |n|^2 > 0 for a strict grid
+    # One row broadcast over every v_s; (b @ u)[0] on the broadcast array
+    # keeps the bits of the per-row products.
     a, b = (np.broadcast_to(m / det, (vs_vals.size, 3)) for m in (p, s))
-    base2 = _affine_dot(a, b, vr, rows)
-    t_lo, t_hi = np.full(vr.shape, -np.inf), np.full(vr.shape, np.inf)
-    feas = np.ones(vr.shape, dtype=bool)
+    feas = np.ones(cells.vr.shape, dtype=bool)
     for i, e_i in enumerate(np.eye(3)):
-        t_lo, t_hi, feas = _tighten(base2(-e_i), -n_dir[i], t_lo, t_hi, feas)
+        _tighten(_pin_dot(a, b, cells.vr, 0, -e_i), -n_dir[i], cells.t_lo, cells.t_hi, feas)
     band = (v[None, :] - vs_vals[:, None]) * f2[None, :]
     for w in (band - delta * f2[None, :], -(band + delta * f2[None, :])):
-        edge = vr * (w @ b[0])[rows]
-        edge += (w @ a[0])[rows]
-        t_lo, t_hi, feas = _tighten(edge, (w @ n_dir)[rows], t_lo, t_hi, feas)
+        edge = cells.vr * (w @ b[0])[cells.rows]
+        edge += (w @ a[0])[cells.rows]
+        _tighten(edge, (w @ n_dir)[cells.rows], cells.t_lo, cells.t_hi, feas)
+    cells.keep(feas)
     for entry in entries:
         g1, g2 = entry.fhat.group1, entry.fhat.group2
         vg2, width = v * g2, entry.delta_s
-        num1 = dot1(v * g1)
-        m1 = num1 / dot1(g1)
-        base_v, base_1 = base2(vg2), base2(g2)
+        vr, rows = cells.vr, cells.rows
+        feas = np.ones(vr.shape, dtype=bool)
+        num1 = _pin_dot(a1, b1, vr, rows, v * g1)
+        m1 = num1 / _pin_dot(a1, b1, vr, rows, g1)
+        base_v, base_1 = _pin_dot(a, b, vr, 0, vg2), _pin_dot(a, b, vr, 0, g2)
         dir_v, dir_1 = float(vg2 @ n_dir), float(g2 @ n_dir)
         gap, gap_dir = base_v - m1 * base_1, dir_v - m1 * dir_1
         base_1 *= width
         for sign in (1.0, -1.0):
-            t_lo, t_hi, feas = _tighten(sign * gap - base_1, sign * gap_dir - width * dir_1,
-                                        t_lo, t_hi, feas)
+            _tighten(sign * gap - base_1, sign * gap_dir - width * dir_1,
+                     cells.t_lo, cells.t_hi, feas)
         floor = entry.revenue_floor - q * num1 - (1.0 - q) * base_v
-        t_lo, t_hi, feas = _tighten(floor, -(1.0 - q) * dir_v, t_lo, t_hi, feas)
-    return a, b, n_dir, t_lo, t_hi, feas & (t_lo <= t_hi + _NONNEG_TOL)
+        _tighten(floor, -(1.0 - q) * dir_v, cells.t_lo, cells.t_hi, feas)
+        cells.keep(feas)
+    return a, b, n_dir
 
 
 @dataclass
@@ -346,27 +368,29 @@ def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs) -> list[Option
     """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), for each
     objective, or None.  Group 1's pin is tested on the whole grid; only the
     cells it admits are carried on, flat in row-major order with their v_s
-    row index, so the group-2 segment, the ledger folds and every objective
-    run on those cells alone and argmax keeps the grid's first-maximum tie
-    rule.  Weights enter only through products with fixed vectors (see
-    _affine_dot); the objective-free state is built once and freed on
-    return."""
+    row index, and the group-2 segment drops each cell as soon as a fold
+    cuts it.  Every objective runs on the survivors alone, still in
+    row-major order, so argmax keeps the grid's first-maximum tie rule.
+    Weights enter only through products with fixed vectors (see _pin_dot);
+    the objective-free state is built once and freed on return."""
     vr = vs_vals[:, None] + alpha
     with np.errstate(all="ignore"):
         a1, b1, live = _pin_group(v, f1, vs_vals, vr)
-        rows, _ = np.nonzero(live)
-        if rows.size == 0:
+        cells = _Cells(vr[live], np.nonzero(live)[0])
+        del vr, live  # only the admitted cells are needed from here on
+        a2, b2, n_dir = _group2_segment(v, q, f2, vs_vals, cells, delta, entries, a1, b1)
+        if cells.rows.size == 0:
             return [None] * len(specs)
-        vr = vr[live]
-        dot1 = _affine_dot(a1, b1, vr, rows)
-        a2, b2, n_dir, t_lo, t_hi, feas = _group2_segment(v, q, f2, vs_vals, vr, rows, delta,
-                                                          entries, dot1)
+        vr, rows = cells.vr, cells.rows
         found = []
         for spec in specs:
             t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
-            t = t_hi if float(t_coef @ n_dir) > 0.0 else t_lo
-            value = dot1(spec.c[:3]) + _affine_dot(a2, b2, vr, rows, t, n_dir)(spec.c[3:])
-            score = np.where(feas & np.isfinite(value), value, -np.inf)
+            t = cells.t_hi if float(t_coef @ n_dir) > 0.0 else cells.t_lo
+            value = _pin_dot(a1, b1, vr, rows, spec.c[:3])
+            part2 = _pin_dot(a2, b2, vr, 0, spec.c[3:])
+            part2 += t * float(n_dir @ spec.c[3:])
+            value += part2
+            score = np.where(np.isfinite(value), value, -np.inf)
             k = int(np.argmax(score))
             if not np.isfinite(score[k]):
                 found.append(None)
@@ -754,6 +778,9 @@ def _search(v, f1, f2, q, delta, entries, specs, cfg=None, extra_policies=()):
     shares its objective-free state between the objectives; everything else
     takes the exact LP search, one objective at a time.  The fixed prices and
     any extra policies are scored as candidates too."""
+    if 2 * v.size > MAX_LP_VARS:
+        raise ValueError(f"a grid of {v.size} prices needs {2 * v.size} LP variables; at most "
+                         f"{MAX_LP_VARS} are supported (d <= {MAX_LP_VARS // 2})")
     if v.size == 3 and entries:
         found = _search_d3(v, f1, f2, q, delta, entries, specs, cfg or _DEFAULT_CFG)
     else:

@@ -101,6 +101,17 @@ def test_lowerbound_preset_needs_a_horizon(capsys):
     assert "revenue" in out
 
 
+@pytest.mark.parametrize("command", ["solve", "run"])
+def test_grids_past_the_lp_limit_fail_in_one_line(tmp_path, capsys, command):
+    argv = [command, "--preset", "lowerbound", "--lb-d", "9", "-T", "100000"]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "runs")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: a grid of 9 prices needs 18 LP variables; "
+                   "at most 16 are supported (d <= 8)\n")
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

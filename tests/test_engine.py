@@ -2,6 +2,7 @@
 agent's batch protocol, and byte-identical output against the per-round loop."""
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +55,37 @@ def test_block_draws_keep_the_gaussian_cache():
     draw_block(blocks, 3000)
     assert blocks.getstate() == reference.getstate()
     assert blocks.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
+
+
+def test_two_streams_alternate_through_the_shared_generator():
+    """Every block re-states the one module generator from its own stream and
+    copies the state back, so blocks of two streams can alternate."""
+    sizes = [623, 624, 625, 0, 65_536]  # 624 words per MT19937 state
+    references = [random.Random(7), random.Random(2**40 + 1)]
+    streams = [random.Random(7), random.Random(2**40 + 1)]
+    for n in sizes:
+        for reference, stream in zip(references, streams):
+            want = [reference.random() for _ in range(n)]
+            assert draw_block(stream, n).tolist() == want
+            assert stream.getstate() == reference.getstate()
+            assert stream.random() == reference.random()
+
+
+def test_block_draws_from_two_threads_stay_on_their_streams():
+    """The lock keeps one block's state copy, draws and copy back together
+    while another thread draws on its own stream."""
+    sizes = [623, 624, 625, 0, 65_536] * 4
+
+    def draws(seed):
+        stream = random.Random(seed)
+        return [draw_block(stream, n).tolist() for n in sizes], stream.getstate()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(draws, [5, 6]))
+    for seed, (blocks, state) in zip([5, 6], results):
+        reference = random.Random(seed)
+        assert blocks == [[reference.random() for _ in range(n)] for n in sizes]
+        assert state == reference.getstate()
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,13 @@ def test_identical_configs_propose_identically():
     assert seen[0] == seen[1]
 
 
-def _episode_bytes(tmp_path, name, seed=0):
+def _episode_bytes(tmp_path, name, seed=0, horizon=10_000):
     """Trace CSV and summary JSON bytes of one FPA episode on the worked
-    example at T = 1e4, every round recorded."""
+    example, recorded every ``horizon // 10_000`` rounds (every round at
+    T = 1e4)."""
     market = example1_market()
-    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=10_000, seed=seed))
-    trace = run_episode(agent, market, 10_000, seed=seed, record_every=1,
+    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=horizon, seed=seed))
+    trace = run_episode(agent, market, horizon, seed=seed, record_every=horizon // 10_000,
                         oracle_revenue=74.0 / 145.0)
     write_trace_csv(trace, str(tmp_path / f"{name}.csv"))
     write_summary_json(trace.summary(), str(tmp_path / f"{name}.json"))
@@ -280,3 +281,28 @@ def test_episode_bytes_match_the_golden_digests(tmp_path, seed):
     csv, summary = _episode_bytes(tmp_path, f"seed{seed}", seed)
     assert hashlib.sha256(csv).hexdigest() == GOLDEN_DIGESTS[seed][0], "trace CSV differs"
     assert hashlib.sha256(summary).hexdigest() == GOLDEN_DIGESTS[seed][1], "summary JSON differs"
+
+
+# The same digests at longer horizons, recorded at commit a87e229: these
+# episodes reach 6 (T = 1e5) and 7 (T = 1e6) ledger snapshots, so they pin
+# the d = 3 scan's folds under a deep ledger.  A change meant to keep the
+# outputs must keep these; one that moves them on purpose records the new
+# digests here and says why.
+DEEP_LEDGER_DIGESTS = {
+    (100_000, 0): ("1ce411bd504ab48d8f5d35f9bcf513e3d943f2fd9cee2a7466ba10eb0800d813",
+                   "d8fa774883bb9f8f51910f103fb63a29b804348c5dc01d5a8992592ca1ed2827"),
+    (100_000, 1): ("1bfe0fd82fdd0dce05865a1ec06f45add19e22149cfe2e325e9f101a9ded8b47",
+                   "b0c29d20666cd06e2cf30f04c01143e373921f1a9ab0122a624df28605a45f81"),
+    (1_000_000, 0): ("824b5e285af20993958f3b530d96a0c309b29f4f7436453820c95eff4cecf4b9",
+                     "3c048a86bb1869f63628d484995c98bf23753ebdc5325e5ce45a08d76d0d435f"),
+    (1_000_000, 1): ("536a564ffea4f23214aa3200fef511cf575cd50140bdfe422c4e5f15ba89b93b",
+                     "a5b5aef85b5f7640e4724171624909c1aaeb14a042c0201cbcbb314cfa15341a"),
+}
+
+
+@pytest.mark.parametrize("horizon,seed", sorted(DEEP_LEDGER_DIGESTS))
+def test_deep_ledger_episode_bytes_match_the_golden_digests(tmp_path, horizon, seed):
+    csv, summary = _episode_bytes(tmp_path, f"T{horizon}-seed{seed}", seed, horizon)
+    want = DEEP_LEDGER_DIGESTS[horizon, seed]
+    assert hashlib.sha256(csv).hexdigest() == want[0], "trace CSV differs"
+    assert hashlib.sha256(summary).hexdigest() == want[1], "summary JSON differs"

@@ -596,6 +596,136 @@ def test_scan_has_no_row_when_the_pin_admits_no_cell(example_market):
                                specs) == [None] * len(specs)
 
 
+def _dense_scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs):
+    """The d = 3 scan as a whole-grid mask fold: every row on every cell, no
+    cell dropped, slopes broadcast to the grid.  The compacting scan must
+    return the same bits."""
+    vr = vs_vals[:, None] + alpha
+    with np.errstate(all="ignore"):
+        a1, b1, feas = oracle._pin_group(v, f1, vs_vals, vr)
+        n_dir = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
+        p, s, det = oracle._adjugate_cols(v, n_dir)
+        a2, b2 = (np.broadcast_to(m / det, (vs_vals.size, 3)) for m in (p, s))
+        t_lo, t_hi = np.full(vr.shape, -np.inf), np.full(vr.shape, np.inf)
+
+        def dot1(u):
+            return vr * (b1 @ u)[:, None] + (a1 @ u)[:, None]
+
+        def dot2(u):
+            return vr * (b2 @ u)[:, None] + (a2 @ u)[:, None]
+
+        def tighten(a, b):
+            b = np.broadcast_to(b, a.shape)
+            up, down = b > oracle._DET_TOL, b < -oracle._DET_TOL
+            feas[...] &= up | down | (a <= oracle._NONNEG_TOL)
+            np.fmin(t_hi, -(a / b), out=t_hi, where=up)
+            np.fmax(t_lo, -(a / b), out=t_lo, where=down)
+
+        for i, e_i in enumerate(np.eye(3)):
+            tighten(dot2(-e_i), -n_dir[i])
+        band = (v[None, :] - vs_vals[:, None]) * f2[None, :]
+        for w in (band - delta * f2[None, :], -(band + delta * f2[None, :])):
+            tighten(vr * (w @ b2[0])[:, None] + (w @ a2[0])[:, None], (w @ n_dir)[:, None])
+        for e in entries:
+            g1, g2, width = e.fhat.group1, e.fhat.group2, e.delta_s
+            num1, base_v, base_1 = dot1(v * g1), dot2(v * g2), dot2(g2)
+            m1 = num1 / dot1(g1)
+            dir_v, dir_1 = float(v * g2 @ n_dir), float(g2 @ n_dir)
+            for sign in (1.0, -1.0):
+                tighten(sign * (base_v - m1 * base_1) - width * base_1,
+                        sign * (dir_v - m1 * dir_1) - width * dir_1)
+            tighten(e.revenue_floor - q * num1 - (1.0 - q) * base_v, -(1.0 - q) * dir_v)
+        feas &= t_lo <= t_hi + oracle._NONNEG_TOL
+        found = []
+        for spec in specs:
+            t_coef = spec.c[3:] if spec.t_coef is None else spec.t_coef
+            t = t_hi if float(t_coef @ n_dir) > 0.0 else t_lo
+            value = dot1(spec.c[:3]) + (dot2(spec.c[3:]) + t * float(n_dir @ spec.c[3:]))
+            k = int(np.argmax(np.where(feas & np.isfinite(value), value, -np.inf)))
+            i, j = divmod(k, vr.shape[1])
+            found.append(None if not (feas[i, j] and np.isfinite(value[i, j])) else
+                         oracle._row_from_weights(
+                             v, f1, f2, q, float(value[i, j]), float(vs_vals[i]),
+                             a1[i] + vr[i, j] * b1[i], a2[i] + vr[i, j] * b2[i] + t[i, j] * n_dir))
+    return found
+
+
+def _assert_rows_identical(got, want):
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert (row is None) == (ref is None)
+        if ref is not None:
+            assert (row.value, row.revenue, row.point) == (ref.value, ref.revenue, ref.point)
+            assert np.array_equal(row.pi1, ref.pi1) and np.array_equal(row.pi2, ref.pi2)
+
+
+def test_scan_matches_the_dense_fold_bit_for_bit(example_market, monkeypatch):
+    """Every scan of a seeded T = 1e5 example run, replayed against the
+    whole-grid fold: dropping cells as the folds cut them changes no bit."""
+    calls, scan = [], oracle._scan_d3
+
+    def recorded(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(oracle, "_scan_d3", recorded)
+    horizon = 100_000
+    agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
+                               horizon=horizon, seed=1))
+    run_episode(agent, example_market, horizon, seed=1, record_every=horizon)
+    assert len(calls) >= 20 and max(len(args[5]) for args in calls) >= 5
+    for args in calls:
+        _assert_rows_identical(scan(*args), _dense_scan_d3(*args))
+
+
+def _scan_grid(v, steps_vs=60, steps_alpha=20):
+    vs_vals = np.linspace(v[0], v[-1], steps_vs)
+    alpha = np.linspace(0.0, 1.0, steps_alpha)[None, :] * (v[-1] - vs_vals)[:, None]
+    return vs_vals, alpha
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.02])
+def test_scan_matches_the_dense_fold_when_a_snapshot_cuts_every_cell(example_market, delta):
+    """No cell clears the first snapshot's floor, so the later snapshot folds
+    an empty set and no objective has a row; delta = 0 pins group 2's
+    segment to a point."""
+    v, f, q = example_market.grid.prices, example_market.accept, example_market.q
+    specs = [oracle._Objective(c) for c in np.eye(6)]
+    specs.append(oracle._Objective(np.r_[q * v * f.group1, (1.0 - q) * v * f.group2]))
+    cut_all = [LedgerEntry(1, f, 0.02, 0.99), LedgerEntry(2, f, 0.02, 0.4)]
+    # The 11 x 11 grid has cells whose segment ends cross by rounding alone,
+    # kept by the _NONNEG_TOL room the folds and the compaction share.
+    for vs_vals, alpha in (_scan_grid(v), _scan_grid(v, 11, 11)):
+        args = (v, f.group1, f.group2, q, delta, cut_all, vs_vals, alpha, specs)
+        assert oracle._scan_d3(*args) == [None] * len(specs) == _dense_scan_d3(*args)
+        for entries in ([LedgerEntry(1, f, 0.02, 0.45)],
+                        [LedgerEntry(1, f, 0.05, 0.3), LedgerEntry(2, f, 0.01, 0.48)]):
+            args = (v, f.group1, f.group2, q, delta, entries, vs_vals, alpha, specs)
+            got = oracle._scan_d3(*args)
+            assert any(row is not None for row in got)
+            _assert_rows_identical(got, _dense_scan_d3(*args))
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.0, 1e-14, -1e-14, oracle._DET_TOL, -oracle._DET_TOL,
+                                   2.5e-13, -2.5e-13, 0.7, -3.0, np.nan])
+def test_tighten_takes_a_scalar_slope_as_its_broadcast(slope):
+    """A scalar slope skips the masks but folds exactly as the same slope
+    broadcast to every cell, nan, infinite and tiny rows included."""
+    rng = np.random.default_rng(3)
+    a = np.r_[rng.normal(size=20), 0.0, -0.0, 1e-12, 2e-12, np.nan, np.inf, -np.inf]
+    t_lo = np.r_[rng.normal(size=a.size - 3) - 1.0, -np.inf, -np.inf, 0.0]
+    t_hi = np.r_[rng.normal(size=a.size - 3) + 1.0, np.inf, 0.0, np.inf]
+    feas = rng.random(a.size) < 0.8
+    results = []
+    for b in (slope, np.full(a.size, slope)):
+        folded = (t_lo.copy(), t_hi.copy(), feas.copy())
+        with np.errstate(all="ignore"):
+            oracle._tighten(a.copy(), b, *folded)
+        results.append(folded)
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_probe_policy_argument_checks(example_market):
     ledger = _ledger_with(example_market, 0.02, 0.4)
     with pytest.raises(ValueError):
