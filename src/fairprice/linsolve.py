@@ -5,8 +5,8 @@ The simplex and the enumerator deliberately share nothing beyond the
 :class:`LinearProgram` container so they can cross-check each other: one walks
 bases with Bland's rule, the other solves every square subsystem of active
 constraints and keeps the feasible maximum.  Problems here are tiny (a few
-variables), so clarity wins over sparsity tricks.  numpy arrays are used as
-containers only; all pivoting is explicit.
+variables), so clarity wins over sparsity tricks.  numpy arrays hold the
+tableau and do its row arithmetic; the choice of every pivot is explicit.
 """
 
 from __future__ import annotations
@@ -129,10 +129,15 @@ class LpResult:
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    """Pivot on (row, col).  Every other row with a nonzero entry in col is
+    updated in one step, each element as a row-by-row loop would update it;
+    rows with a zero entry are left alone, so no -0.0 appears."""
+    pivot = tableau[row]
+    pivot /= pivot[col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    tableau[rows] -= factors[rows, None] * pivot
     basis[row] = col
 
 
@@ -145,19 +150,15 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], n_cols: int) -> str:
     """
     m = tableau.shape[0] - 1
     for _ in range(_MAX_PIVOTS):
-        obj = tableau[-1, :n_cols]
-        enter = -1
-        for j in range(n_cols):  # Bland: first improving column
-            if obj[j] > PIVOT_TOL:
-                enter = j
-                break
+        # Bland: first improving column.
+        enter = next((j for j, r in enumerate(tableau[-1, :n_cols].tolist()) if r > PIVOT_TOL), -1)
         if enter < 0:
             return OPTIMAL
         best_ratio, leave = None, -1
-        for i in range(m):
-            coeff = tableau[i, enter]
+        rhs = tableau[:m, -1].tolist()
+        for i, coeff in enumerate(tableau[:m, enter].tolist()):
             if coeff > PIVOT_TOL:
-                ratio = tableau[i, -1] / coeff
+                ratio = rhs[i] / coeff
                 if (
                     best_ratio is None
                     or ratio < best_ratio - PIVOT_TOL
@@ -172,6 +173,13 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], n_cols: int) -> str:
 
 def lp_maximize(lp: LinearProgram) -> LpResult:
     """Two-phase primal simplex with Bland's anti-cycling rule.
+
+    Every OPTIMAL x meets each row within FEAS_TOL (|a_eq x - b_eq| and
+    a_ub x - b_ub at most FEAS_TOL) and has x >= -FEAS_TOL, for rows and
+    right-hand sides of order one, as every LP in this package has.  It is
+    not exact: phase 1 accepts artificials summing to FEAS_TOL and the ratio
+    test breaks ties within PIVOT_TOL, so a vertex can miss a row by rounding
+    and those tolerances (a slack of -1.1e-10 has been seen).
 
     Returns:
         LpResult with status "optimal" (x and value set), "infeasible", or

@@ -61,11 +61,18 @@ _NUDGE = 1e-9
 # Where each basis is fitted, in u = (v_s - mid) / half on [-1, 1]: five
 # nodes fix a quartic, a margin over the fitted polynomials' degree 3.
 _FIT_NODES = np.linspace(-1.0, 1.0, 5)
+_FIT_VANDER = np.vander(_FIT_NODES)
 # Revenue's weight in the anchor LP, so ties on a probe's weight go to revenue
 # as in _select_best; it can cost the objective at most 1e-7.
 _REVENUE_TIE = 1e-7
 _DET_TOL = 1e-13
 _NONNEG_TOL = 1e-12
+# The walk re-solves a candidate point unless its fitted value is this far
+# below the best re-solved value (see _search_lp).
+_RESOLVE_MARGIN = TIE_TOL
+# Where |D| is below this share of its largest coefficient, a fitted value
+# N / D is not trusted and the point is always re-solved.
+_FIT_DEN_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -460,6 +467,13 @@ class _Rows(NamedTuple):
         a, b, n = self.a, self.b, self.n_eq
         return np.concatenate([np.arange(n), n + np.flatnonzero(b[n:] - a[n:] @ x <= _NONNEG_TOL)])
 
+    def basis_point(self, rows, cols) -> np.ndarray:
+        """The basic solution of a basis: its rows solved over its columns,
+        every other weight zero."""
+        x = np.zeros(self.c.size)
+        x[cols] = np.linalg.lstsq(self.a[rows][:, cols], self.b[rows], rcond=None)[0]
+        return x
+
     def vertex(self, x: np.ndarray) -> np.ndarray:
         """x re-solved from its active rows over its support: one vertex gives
         the same bits whatever the pivots or the rows that do not bind there
@@ -543,6 +557,8 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     the eigenvalues of the companion matrix.  The companions of one degree
     go to LAPACK in one stack, each the matrix np.roots would build, so the
     roots keep np.roots's bits."""
+    if polys.shape[0] == 0:
+        return np.empty(0)
     size = polys.shape[1]
     mag = np.abs(polys)
     big = mag > 1e-10 * np.max(mag, axis=1, initial=0.0, keepdims=True)
@@ -552,8 +568,8 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     roots = [np.zeros(int(np.sum(size - 1 - last[solved])))]
     # One stack per (first, last): the companions of polys[:, first:last + 1].
     keys = np.where(solved & (last > first), first * size + last, -1)
-    for key in np.unique(keys[keys >= 0]):
-        head, tail = divmod(int(key), size)
+    for key in sorted(set(keys[keys >= 0].tolist())):
+        head, tail = divmod(key, size)
         p, m = polys[keys == key], tail - head
         comp = np.zeros((p.shape[0], m, m))
         comp[:, 1:, :-1] = np.eye(m - 1)
@@ -610,7 +626,7 @@ def _fit_basis(nodes: _Rows, rows, cols) -> np.ndarray:
     border[:, :, m, :m], border[:, :, m, m] = c[cols], c[others]
     values = np.concatenate([dets[:, :1 + m], slack, -np.linalg.det(border), dets[:, 1 + m:]],
                             axis=1)
-    return np.linalg.solve(np.vander(_FIT_NODES), values)
+    return np.linalg.solve(_FIT_VANDER, values)
 
 
 def _follow_basis(nodes: _Rows, here: _Rows, x: np.ndarray, u0: float):
@@ -644,15 +660,12 @@ def _follow_basis(nodes: _Rows, here: _Rows, x: np.ndarray, u0: float):
     return None
 
 
-def _basis_points(v, entries, coef, cols, lo, hi, objectives) -> np.ndarray:
-    """Where a fitted basis can hold its best point in [lo, hi]: the ends of
-    the pieces that clear every snapshot's band and, inside them, the
-    stationary points (roots of N'D - ND') of each objective's N / D; none
-    where D vanishes.  A stationary point does not depend on the piece, so
-    all are found once and kept where a piece clears."""
-    d, den = v.size, coef[:, 0]
-    weights = np.zeros((_FIT_NODES.size, 2 * d))
-    weights[:, cols] = coef[:, 1:1 + len(cols)]
+def _band_pieces(v, entries, weights, lo, hi):
+    """(starts, ends): the pieces of [lo, hi] where a fitted basis's weights
+    clear every snapshot's band; all of [lo, hi] when there is none."""
+    if not entries:
+        return np.array([lo]), np.array([hi])
+    d = v.size
     # |gap| <= band, times the positive (g1'P1)(g2'P2); per snapshot the
     # products n1 m2, n2 m1 and m1 m2 of its group means' numerators and
     # denominators.
@@ -673,7 +686,21 @@ def _basis_points(v, entries, coef, cols, lo, hi, objectives) -> np.ndarray:
     for col in bands.T:  # np.polyval of every band at every piece's middle
         sign = sign * mids + col[:, None]
     clears = np.all(sign >= 0.0, axis=0)
-    starts, ends = cuts[:-1][clears], cuts[1:][clears]
+    return cuts[:-1][clears], cuts[1:][clears]
+
+
+def _basis_points(v, entries, coef, cols, lo, hi, objectives):
+    """Where a fitted basis can hold its best point in [lo, hi]: the ends of
+    the pieces that clear every snapshot's band and, inside them, the
+    stationary points (roots of N'D - ND') of each objective's N / D; none
+    where D vanishes.  A stationary point does not depend on the piece, so
+    all are found once and kept where a piece clears.  Returns the points
+    and the first objective's fitted value N / D at each, +inf where |D| is
+    too small for the fit to be trusted."""
+    den = coef[:, 0]
+    weights = np.zeros((_FIT_NODES.size, 2 * v.size))
+    weights[:, cols] = coef[:, 1:1 + len(cols)]
+    starts, ends = _band_pieces(v, entries, weights, lo, hi)
     nums = [weights @ obj for obj in objectives]
     der = np.polyder(den)
     prods = _products([(np.polyder(num), den) for num in nums] + [(num, der) for num in nums],
@@ -681,17 +708,23 @@ def _basis_points(v, entries, coef, cols, lo, hi, objectives) -> np.ndarray:
     stationary = _real_roots(prods[:len(nums)] - prods[len(nums):], lo, hi)
     inside = np.any((stationary[:, None] >= starts) & (stationary[:, None] <= ends), axis=1)
     points = np.unique(np.concatenate([starts, ends, stationary[inside]]))
-    return points[np.abs(np.polyval(den, points)) > 1e-9 * np.max(np.abs(den))]
+    scale, at = np.max(np.abs(den)), np.polyval(den, points)
+    keep = np.abs(at) > 1e-9 * scale
+    points, at = points[keep], at[keep]
+    return points, np.where(np.abs(at) >= _FIT_DEN_TOL * scale,
+                            np.polyval(nums[0], points) / at, np.inf)
 
 
 def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     """Walk v_s from v_1 to v_d through the anchor LP's optimal bases
-    (Gass-Saaty): solve the LP, fit its basis, score the basis's candidate
+    (Gass-Saaty): solve the LP, fit its basis, list the basis's candidate
     points (_basis_points), and re-solve just past the first root where the
-    basis stops being primal or dual feasible.  Each candidate is solved
-    from its basis and re-solved as a vertex.  The LP's infeasible
+    basis stops being primal or dual feasible.  The LP's infeasible
     stretches are walked in its least-violation LP; a basis that cannot be
-    followed is left by ever larger nudges."""
+    followed is left by ever larger nudges, and the vertex found there is
+    kept as it is.  After the walk the candidates are solved from their
+    basis and re-solved as a vertex, best fitted value first, until none
+    left can win."""
     d, c = v.size, spec.c
     lo, hi = float(v[0]), float(v[-1])
     if hi <= lo:
@@ -700,13 +733,17 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     anchor = _AnchorRows(v, f1, f2, q, delta, entries, lp_c)
 
-    def keep(u, rows, x):
+    def keep(order, u, rows, x) -> float:
+        """Re-solve x as a vertex and keep it if it clears the ledger;
+        returns its value, or -inf."""
         x = rows.vertex(x)
-        if _clears_ledger(v, q, entries, x[:d], x[d:]):
-            found.append(_row_from_weights(v, f1, f2, q, float(c @ x), mid + half * u,
-                                           x[:d], x[d:]))
+        if not _clears_ledger(v, q, entries, x[:d], x[d:]):
+            return -np.inf
+        found.append((order, _row_from_weights(v, f1, f2, q, float(c @ x), mid + half * u,
+                                               x[:d], x[d:])))
+        return found[-1][1].value
 
-    nodes, found = {}, []
+    nodes, found, pending, order = {}, [], [], itertools.count()
     u, done, nudge = -1.0 + 2.0 * _NUDGE, -1.0, 2.0 * _NUDGE
     while u <= 1.0:
         rows = anchor.at(mid + half * u)
@@ -722,28 +759,42 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
         seg = None if x is None else _follow_basis(nodes[phase], rows, x, u)
         if seg is None:  # degenerate, or a basis that ends at once: nudge on
             if not phase:
-                keep(u, rows, x)
+                keep(next(order), u, rows, x)
             u, nudge = u + nudge, 10.0 * nudge
             continue
         lower, upper, basis, cols, coef = seg
         u, nudge = upper + 2.0 * _NUDGE, 2.0 * _NUDGE
         if phase:
             continue
-        for w in _basis_points(v, entries, coef, cols, max(lower, done), upper, (c, lp_c)):
-            rows = anchor.at(mid + half * w)
-            x = np.zeros(2 * d)
-            x[cols] = np.linalg.lstsq(rows.a[basis][:, cols], rows.b[basis], rcond=None)[0]
-            keep(w, rows, x)
+        points, fitted = _basis_points(v, entries, coef, cols, max(lower, done), upper, (c, lp_c))
+        pending += [(value, next(order), w, basis, cols)
+                    for w, value in zip(points, fitted.tolist())]
         done = upper
-    return max(found, key=lambda r: (r.value, r.revenue), default=None)
+    # A candidate's fitted value and its re-solved vertex's value agree to
+    # rounding (2.3e-12 at most over 5,347 candidates of 412 searches: the
+    # known-market solves of d = 3 to 5 and the ledger searches of learners
+    # at d = 4 to 8), far inside _RESOLVE_MARGIN; where |D| is small the fit
+    # is not used (+inf).  So a candidate fitted more than the margin below
+    # the best re-solved value that clears the ledger has an exact value
+    # below that best: it cannot be the max, and every tie of the max is
+    # re-solved.  Taken in walk order, the max keeps the walk's first-max
+    # rule.
+    best = max((row.value for _, row in found), default=-np.inf)
+    pending.sort(key=lambda p: -p[0])
+    for value, k, w, basis, cols in pending:
+        if value < best - _RESOLVE_MARGIN:
+            break
+        rows = anchor.at(mid + half * w)
+        best = max(best, keep(k, w, rows, rows.basis_point(basis, cols)))
+    found.sort(key=lambda f: f[0])
+    return max((row for _, row in found), key=lambda r: (r.value, r.revenue), default=None)
 
 
 def _explicit_rows(v, f1, f2, q, delta, entries, policies, spec) -> list[_Row]:
-    """Score hand-picked whole policies (fixed prices, an incumbent) under the
-    same constraints the searches enforce."""
+    """Score hand-picked whole policies, given as (w1, w2, fixed) (fixed
+    prices, an incumbent), under the same constraints the searches enforce."""
     rows = []
-    for pol, fixed in policies:
-        w1, w2 = pol.group1.weights, pol.group2.weights
+    for w1, w2, fixed in policies:
         row = _row_from_weights(v, f1, f2, q, float(spec.c @ np.r_[w1, w2]),
                                 float((v * f1) @ w1) / float(f1 @ w1), w1, w2, fixed)
         if (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL and abs(row.point.beta) <= delta + MEMBER_TOL
@@ -785,8 +836,8 @@ def _search(v, f1, f2, q, delta, entries, specs, cfg=None, extra_policies=()):
         found = _search_d3(v, f1, f2, q, delta, entries, specs, cfg or _DEFAULT_CFG)
     else:
         found = [_search_lp(v, f1, f2, q, delta, entries, spec) for spec in specs]
-    policies = [(fixed_price_policy(v.size, i), True) for i in range(v.size)]
-    policies += [(pol, False) for pol in extra_policies]
+    policies = [(w, w, True) for w in np.eye(v.size)]
+    policies += [(pol.group1.weights, pol.group2.weights, False) for pol in extra_policies]
     return [_select_best([row] + _explicit_rows(v, f1, f2, q, delta, entries, policies, spec))
             for row, spec in zip(found, specs)]
 

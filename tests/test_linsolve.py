@@ -5,17 +5,24 @@ their agreement on random instances is a genuine cross-check; a couple of
 textbook programs with known optima pin the absolute answers.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairprice import (
     LinearProgram,
     SingularMatrixError,
     lp_maximize,
+    oracle,
     solve_linear_system,
+    solve_relaxed_optimal,
     vertex_enumerate,
 )
-from fairprice.linsolve import FEAS_TOL, MAX_LP_VARS, MAX_SOLVE_N
+from fairprice import linsolve
+from fairprice.linsolve import FEAS_TOL, MAX_LP_VARS, MAX_SOLVE_N, PIVOT_TOL
+from test_oracle import GOLDEN_SOLVES, _golden_solve
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +202,136 @@ def test_simplex_agrees_with_vertex_enumeration():
         if lp.a_eq is not None:
             np.testing.assert_allclose(lp.a_eq @ got.x, lp.b_eq, atol=1e-8)
     assert solved >= 80  # the generator should mostly produce solvable programs
+
+
+# ---------------------------------------------------------------------------
+# the one-step pivot against the row loop, bit for bit
+# ---------------------------------------------------------------------------
+
+def _pivot_row_loop(tableau, basis, row, col):
+    """The pivot as a loop over rows: the reference the one-step pivot keeps."""
+    tableau[row] /= tableau[row, col]
+    for i in range(tableau.shape[0]):
+        if i != row and tableau[i, col] != 0.0:
+            tableau[i] -= tableau[i, col] * tableau[row]
+    basis[row] = col
+
+
+def _run_simplex_column_scan(tableau, basis, n_cols):
+    """Bland's rule reading the tableau one entry at a time, pivoting with
+    the row loop: the reference for linsolve._run_simplex."""
+    m = tableau.shape[0] - 1
+    for _ in range(linsolve._MAX_PIVOTS):
+        obj = tableau[-1, :n_cols]
+        enter = -1
+        for j in range(n_cols):
+            if obj[j] > PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return linsolve.OPTIMAL
+        best_ratio, leave = None, -1
+        for i in range(m):
+            coeff = tableau[i, enter]
+            if coeff > PIVOT_TOL:
+                ratio = tableau[i, -1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - PIVOT_TOL
+                    or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[leave])
+                ):
+                    best_ratio, leave = ratio, i
+        if leave < 0:
+            return linsolve.UNBOUNDED
+        _pivot_row_loop(tableau, basis, leave, enter)
+    raise RuntimeError("simplex failed to terminate (pivot cap hit)")
+
+
+def _row_loop_maximize(lp):
+    with mock.patch.object(linsolve, "_pivot", _pivot_row_loop), \
+            mock.patch.object(linsolve, "_run_simplex", _run_simplex_column_scan):
+        return lp_maximize(lp)
+
+
+def _assert_same_bits(got, want):
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.value == want.value
+
+
+# Entries that tie often (0, +-1, 0.5) mixed with arbitrary ones.
+_ENTRY = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5]),
+                   st.floats(-3.0, 3.0, allow_subnormal=False))
+
+
+def _matrix(draw, rows, cols):
+    return np.array(draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def lp_programs(draw, feasible=False):
+    """LPs of 1-16 variables with up to 8 inequality and 4 equality rows,
+    often capped by an all-ones row.  A feasible one has a right-hand side
+    met by a drawn x0 >= 0 (some rows exactly, so vertices are degenerate);
+    otherwise the right-hand side is drawn too, negative entries included,
+    and a drawn row may repeat another."""
+    n = draw(st.integers(1, MAX_LP_VARS))
+    m_ub, m_eq = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    c = _matrix(draw, 1, n)[0]
+    a_ub, a_eq = _matrix(draw, m_ub, n), _matrix(draw, m_eq, n)
+    if m_ub > 1 and draw(st.booleans()):
+        a_ub[-1] = a_ub[0]
+    if draw(st.booleans()):
+        a_ub = np.vstack([a_ub, np.ones(n)])
+    if feasible:
+        x0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 2.0),
+                                    min_size=n, max_size=n)))
+        slack = np.array(draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+                                       min_size=a_ub.shape[0], max_size=a_ub.shape[0])))
+        b_ub, b_eq = a_ub @ x0 + slack, a_eq @ x0
+    else:
+        b_ub = np.array(draw(st.lists(_ENTRY, min_size=a_ub.shape[0], max_size=a_ub.shape[0])))
+        b_eq = np.array(draw(st.lists(_ENTRY, min_size=m_eq, max_size=m_eq)))
+    return LinearProgram(c, a_ub=a_ub if a_ub.size else None, b_ub=b_ub if a_ub.size else None,
+                         a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None)
+
+
+@settings(max_examples=400)
+@given(st.one_of(lp_programs(), lp_programs(feasible=True)))
+def test_one_step_pivot_matches_the_row_loop_bit_for_bit(lp):
+    """Same status, the same bytes of x and the same value as the row loop,
+    on every kind of program: infeasible, unbounded, degenerate."""
+    _assert_same_bits(lp_maximize(lp), _row_loop_maximize(lp))
+
+
+def test_one_step_pivot_matches_the_row_loop_on_the_golden_solves():
+    """Every LP the solves of GOLDEN_SOLVES issue, solved both ways."""
+    lps = []
+    real = oracle.lp_maximize
+    with mock.patch.object(oracle, "lp_maximize", lambda lp: lps.append(lp) or real(lp)):
+        for name in sorted(GOLDEN_SOLVES):
+            solve_relaxed_optimal(*_golden_solve(name))
+    assert len(lps) == 498  # the sum of the LP counts GOLDEN_SOLVES pins
+    for lp in lps:
+        _assert_same_bits(lp_maximize(lp), _row_loop_maximize(lp))
+
+
+@settings(max_examples=400)
+@given(lp_programs(feasible=True))
+def test_optimal_points_meet_every_row_within_the_tolerance(lp):
+    """What lp_maximize promises of every OPTIMAL result: each row holds
+    within FEAS_TOL and x >= -FEAS_TOL.  The programs are feasible by
+    construction, so the only other status is unbounded."""
+    res = lp_maximize(lp)
+    assert res.status in ("optimal", "unbounded")
+    if res.status != "optimal":
+        return
+    assert np.all(res.x >= -FEAS_TOL)
+    if lp.a_ub is not None:
+        assert np.all(lp.a_ub @ res.x - lp.b_ub <= FEAS_TOL)
+    if lp.a_eq is not None:
+        assert np.all(np.abs(lp.a_eq @ res.x - lp.b_eq) <= FEAS_TOL)
+    assert res.value == float(lp.objective @ res.x)

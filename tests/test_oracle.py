@@ -229,15 +229,22 @@ def test_walk_reaches_the_best_of_dense_anchors(d, seeds):
 
 def test_searches_solve_few_lps(monkeypatch):
     """One LP per basis the walk crosses, not one per anchor of a grid (the
-    seed grid took 203 per search).  The count is deterministic."""
-    calls = []
-    real = oracle.lp_maximize
+    seed grid took 203 per search), and a vertex re-solve only for the
+    candidates that can still win (scoring every candidate took 6 and 6).
+    The counts are deterministic."""
+    calls, vertices = [], []
+    real, real_vertex = oracle.lp_maximize, oracle._Rows.vertex
     monkeypatch.setattr(oracle, "lp_maximize", lambda lp: calls.append(lp) or real(lp))
+    monkeypatch.setattr(oracle._Rows, "vertex",
+                        lambda rows, x: vertices.append(x) or real_vertex(rows, x))
     solve_fair_optimal(lowerbound_family_market(2, 4, 100_000))
     assert 0 < len(calls) <= 40
+    assert 0 < len(vertices) <= 4
     calls.clear()
+    vertices.clear()
     solve_relaxed_optimal(_random_market(np.random.default_rng(4), 4), 0.03)
     assert 0 < len(calls) <= 40
+    assert 0 < len(vertices) <= 3
 
 
 def _golden_solve(name):
@@ -394,6 +401,9 @@ def test_batched_roots_are_the_roots_of_each_polynomial(polys, lo, hi):
     for row, poly in zip(stack, polys):
         row[width - poly.size:] = poly
     assert np.array_equal(oracle._real_roots(stack, lo, hi), _roots_one_at_a_time(polys, lo, hi))
+    # No rows at all, at any width: no roots, as floats.
+    none = oracle._real_roots(np.zeros((0, max(width, 5))), lo, hi)
+    assert none.shape == (0,) and none.dtype == np.float64
 
 
 @st.composite
@@ -438,6 +448,89 @@ def test_solutions_are_fair_and_bracketed_on_random_markets(market):
 def test_solutions_beat_the_dense_enumeration_on_random_markets(market):
     dense_revenue, _, _ = brute_force_fair_optimal(market, step=0.02)
     assert solve_fair_optimal(market).revenue >= dense_revenue - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# lazy candidate scoring: the same bits as re-solving every candidate
+# ---------------------------------------------------------------------------
+
+def _search_bits(market, fhat, ledger, delta):
+    """Every public search on one ledger, as bytes: the relaxed solve of the
+    market, the revenue search and three probes under fhat."""
+    d = market.grid.d
+    sol = solve_relaxed_optimal(market, delta)
+    out = [np.r_[sol.revenue, sol.policy.weights(1), sol.policy.weights(2)].tobytes(), sol.point]
+    opt = empirical_optimizer(fhat, ledger, delta)
+    out += [np.r_[opt.revenue_hat, opt.policy.weights(1), opt.policy.weights(2)].tobytes(),
+            opt.point, opt.ledger_infeasible]
+    for res in max_probability_policies([(0, 1), (d // 2, 2), (d - 1, 2)], fhat, ledger, delta):
+        out += [res.achieved_prob, res.point, res.ledger_infeasible]
+        if res.policy is not None:
+            out.append(np.r_[res.policy.weights(1), res.policy.weights(2)].tobytes())
+    return out
+
+
+def _noisy_snapshot(market, rng, epoch, delta_s, noise=0.05):
+    """A snapshot made with estimates off the market's curves by normal
+    noise, its floor 0.03 under the best fixed price's estimated revenue."""
+    curves = [np.sort(np.clip(f + rng.normal(0.0, noise, f.size), 0.05, 1.0))[::-1].copy()
+              for f in (market.accept.group1, market.accept.group2)]
+    fhat = AcceptanceModel(*curves)
+    v, q = market.grid.prices, market.q
+    floor = float(np.max(q * v * fhat.group1 + (1.0 - q) * v * fhat.group2)) - 0.03
+    return LedgerEntry(epoch, fhat, delta_s, floor)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_lazy_scoring_gives_the_bits_of_scoring_every_candidate(d, monkeypatch):
+    """The walk re-solves only the candidates whose fitted value can still
+    win; with the stop margin at infinity it re-solves all of them.  Both
+    give the same bytes on ledgers of 0, 1 and 2 snapshots (d = 3 with
+    snapshots takes the scan, which has no candidates to skip)."""
+    market = _random_market(np.random.default_rng(40 + d), d)
+    rng = np.random.default_rng(d)
+    entries = [_noisy_snapshot(market, rng, k + 1, 0.05 / (k + 1)) for k in range(2)]
+    for n in range(3):
+        ledger = EliminationLedger(market.grid, market.q, entries[:n])
+        fhat = entries[n - 1].fhat if n else market.accept
+        delta = entries[n - 1].delta_s if n else 0.03
+        lazy = _search_bits(market, fhat, ledger, delta)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_RESOLVE_MARGIN", np.inf)
+            assert _search_bits(market, fhat, ledger, delta) == lazy, n
+
+
+def test_lazy_scoring_passes_over_candidates_a_snapshot_rejects(monkeypatch):
+    """A snapshot band rejects the best fitted candidates: with the band
+    pieces switched off every candidate of a basis is listed, so those
+    outside an old snapshot's band reach the membership test and fail it.
+    The lazy walk goes on down the list to the same result as re-solving
+    every candidate."""
+    market = _random_market(np.random.default_rng(2), 4)
+    old = _noisy_snapshot(market, np.random.default_rng(102), 1, 0.01, noise=0.1)
+    ledger = EliminationLedger(market.grid, market.q, [old])
+    monkeypatch.setattr(oracle, "_band_pieces",
+                        lambda v, entries, weights, lo, hi: (np.array([lo]), np.array([hi])))
+    fitted, real = [], oracle._basis_points
+
+    def basis_points(*args):
+        points, values = real(*args)
+        fitted.extend(values)
+        return points, values
+
+    monkeypatch.setattr(oracle, "_basis_points", basis_points)
+    lazy = _search_bits(market, market.accept, ledger, 0.05)
+    fitted.clear()
+    best = empirical_optimizer(market.accept, ledger, 0.05)
+    assert max(fitted) > best.revenue_hat + 1e-3  # the best fitted candidates were rejected
+    monkeypatch.setattr(oracle, "_RESOLVE_MARGIN", np.inf)
+    solved, real_point = [], oracle._Rows.basis_point
+    monkeypatch.setattr(oracle._Rows, "basis_point",
+                        lambda rows, *basis: solved.append(basis) or real_point(rows, *basis))
+    fitted.clear()
+    empirical_optimizer(market.accept, ledger, 0.05)
+    assert len(solved) == len(fitted)  # at infinity every candidate is re-solved
+    assert _search_bits(market, market.accept, ledger, 0.05) == lazy
 
 
 # ---------------------------------------------------------------------------
