@@ -8,6 +8,7 @@ reports for the final, never-finished epoch.
 """
 
 from fairprice import (
+    EliminationLedger,
     FpaAgent,
     FpaConfig,
     closed_form_example_optimum,
@@ -26,13 +27,8 @@ def main():
     agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q,
                                horizon=HORIZON, seed=SEED))
 
-    survived = []
-
-    def on_boundary(a, t):
-        survived.append((t, member(optimum.policy, a.ledger)))
-
     trace = run_episode(agent, market, HORIZON, seed=SEED, record_every=HORIZON,
-                        oracle_revenue=optimum.revenue, epoch_hook=on_boundary)
+                        oracle_revenue=optimum.revenue)
 
     print(f"T = {HORIZON}, seed = {SEED}")
     print(f"warmup: {agent.tau0} rounds at the top price, "
@@ -45,7 +41,13 @@ def main():
               f"policies carried {info['n_active']}")
 
     print("\nelimination snapshots:")
-    for entry, (t, ok) in zip(agent.ledger, survived):
+    t = agent.tau0
+    for k, (entry, info) in enumerate(zip(agent.ledger, agent.epochs_info), 1):
+        # Each snapshot closes its epoch; the optimum survived it if it is a
+        # member of the ledger as it stood then.
+        t += info["run_len"]
+        ok = member(optimum.policy, EliminationLedger(market.grid, market.q,
+                                                      agent.ledger.entries[:k]))
         f1 = " ".join(f"{x:.3f}" for x in entry.fhat.group1)
         f2 = " ".join(f"{x:.3f}" for x in entry.fhat.group2)
         verdict = "kept the optimum" if ok else "DROPPED the optimum"

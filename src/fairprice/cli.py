@@ -332,8 +332,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _fit_slope(horizons: Sequence[int], means: Sequence[float]) -> float:
+def _fit_slope(horizons: Sequence[int], means: Sequence[float]) -> Optional[float]:
+    """Log-log slope of the means; None when a mean has no logarithm (<= 0)."""
+    if min(means) <= 0.0:
+        return None
     return float(np.polyfit(np.log10(horizons), np.log10(means), 1)[0])
+
+
+def _slope_text(slope: Optional[float]) -> str:
+    return "n/a" if slope is None else f"{slope:.4f}"
 
 
 def cmd_sweep(args) -> int:
@@ -341,7 +348,8 @@ def cmd_sweep(args) -> int:
     env = _resolve_env(args, config)
     agent_cfg = _resolve_agent(args, config)
     horizons = parse_horizons(_pick(args.horizons, config, "sweep.horizons", "", str))
-    seeds = parse_seed_spec(_pick(args.seeds, config, "sweep.seeds", "", str) or "0")
+    seed_spec = _pick(args.seeds, config, "sweep.seeds", "", str)
+    seeds = parse_seed_spec(seed_spec) if seed_spec else []
     if len(horizons) < 3:
         raise ValueError("sweep needs at least 3 horizons")
     if len(seeds) < 5:
@@ -391,7 +399,7 @@ def cmd_sweep(args) -> int:
         print(f"T={row['horizon']}: regret {row['mean_regret']:.3f} "
               f"(se {row['stderr_regret']:.3f}), S {row['mean_s']:.3f} "
               f"(se {row['stderr_s']:.3f}) over {row['n_seeds']} seeds")
-    print(f"log-log slopes: regret {slope_regret:.4f}, S {slope_s:.4f}")
+    print(f"log-log slopes: regret {_slope_text(slope_regret)}, S {_slope_text(slope_s)}")
 
     if out_dir:
         curve_path = os.path.join(out_dir, "curve.csv")

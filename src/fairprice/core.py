@@ -28,6 +28,8 @@ import numpy as np
 SIMPLEX_TOL = 1e-12
 # Tolerance for the nonincreasing check on acceptance curves.
 MONOTONE_TOL = 1e-12
+# Most negative weight GroupDistribution.renormalized clips to zero.
+RENORMALIZE_CLIP_TOL = 1e-9
 # Default floor on acceptance probabilities (keeps accepted means well defined).
 DEFAULT_F_MIN = 0.05
 # draw_block's generator, built once and re-stated on every call; the lock
@@ -126,12 +128,14 @@ class GroupDistribution:
             raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL}, got {w.sum()!r}")
 
     @classmethod
-    def renormalized(cls, weights, clip_tol: float = 1e-9) -> "GroupDistribution":
-        """Build from near-feasible weights: clip negatives down to ``-clip_tol``
-        magnitude to zero and rescale to unit sum.  Rejects anything worse."""
+    def renormalized(cls, weights) -> "GroupDistribution":
+        """Build from near-feasible weights: clip negatives down to
+        ``-RENORMALIZE_CLIP_TOL`` to zero and rescale to unit sum.  Rejects
+        anything worse."""
         w = np.asarray(weights, dtype=float)
-        if np.any(w < -clip_tol):
-            raise ValueError(f"weights more negative than -{clip_tol} cannot be renormalized")
+        if np.any(w < -RENORMALIZE_CLIP_TOL):
+            raise ValueError(f"weights more negative than -{RENORMALIZE_CLIP_TOL} "
+                             "cannot be renormalized")
         w = np.clip(w, 0.0, None)
         total = float(w.sum())
         if total <= 0.0:

@@ -8,13 +8,16 @@ the same root-tau rate as the revenue error.
 
 Schedule:
 
-* warmup — post the top price for tau_0 rounds to floor-estimate acceptance;
+* warmup — the first batch: post the top price for tau_0 rounds to
+  floor-estimate acceptance;
 * epoch k — for every surviving (price, group), find the surviving policy
   putting the most weight on that price; drop prices whose best weight falls
-  under 1/sqrt(T); run the kept policies in equal batches; re-estimate
+  under 1/sqrt(T); queue the kept policies in equal batches; re-estimate
   acceptance from this epoch's counts; append an elimination snapshot (the
   estimates, the fairness band delta_{k,s}, and a revenue floor
   ``max R_hat - delta_{k,r} - L * delta_{k,s}``) to the ledger.
+
+The warmup and each epoch end when their last batch is spent.
 
 Radii halve every epoch as batch lengths double.  Two constant schedules are
 built in: "theory" uses the analysis constants (conservative by orders of
@@ -195,17 +198,16 @@ class FpaAgent:
         self.epochs_info: list[dict] = []
         self.truncated_diagnostic: Optional[dict] = None
 
-        self._warm_arrivals = [0, 0]
-        self._warm_accepts = [0, 0]
         self._pending: Optional[tuple[int, int]] = None
         self._pending_batch: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._params: Optional[EpochParams] = None
-        self._active: list[PolicyPair] = []
-        self._cums: list[tuple[list[float], list[float]]] = []
-        self._batch_sizes: list[int] = []
-        self._batch_idx = 0
-        self._batch_left = 0
-        self._epoch_left = 0
+        # The batch being played (its policy, cumulative weights and rounds
+        # left), then the epoch's queued batches.  The warmup has no weights:
+        # it posts the top price and draws nothing.
+        self._policy = fixed_price_policy(self.d, self.d - 1)
+        self._cums: Optional[tuple[list[float], list[float]]] = None
+        self._batch_left = self.tau0
+        self._queue: list[tuple[PolicyPair, tuple, int]] = []
         self._epoch_truncated = False
         self._m = np.zeros((2, self.d), dtype=np.int64)
         self._n = np.zeros((2, self.d), dtype=np.int64)
@@ -222,11 +224,10 @@ class FpaAgent:
             raise ProtocolError("previous round still awaits observe()")
         if self.stage == "done":
             raise ProtocolError("horizon exhausted")
-        if self.stage == "warmup":
+        if self._cums is None:
             idx = self.d - 1
         else:
-            cum = self._cums[self._batch_idx][group - 1]
-            idx = bisect_left(cum, self.rng.random())
+            idx = bisect_left(self._cums[group - 1], self.rng.random())
             idx = min(idx, self.d - 1)  # guard the cum[-1] = 1.0 float edge
         self._pending = (group, idx)
         return idx
@@ -239,31 +240,20 @@ class FpaAgent:
             raise ProtocolError(f"outcome {(group, price_index)} does not match "
                                 f"the pending proposal {self._pending}")
         self._pending = None
-        self.t += 1
-        if self.stage == "warmup":
-            self._warm_arrivals[group - 1] += 1
-            self._warm_accepts[group - 1] += int(accepted)
-        else:
-            self._m[group - 1, price_index] += 1
-            if accepted:
-                self._n[group - 1, price_index] += 1
-            self._batch_left -= 1
-            self._epoch_left -= 1
-        self._advance_schedule()
+        self._m[group - 1, price_index] += 1
+        if accepted:
+            self._n[group - 1, price_index] += 1
+        self._played(1)
 
     # ------------------------------------------------------------------
     # batch protocol: the rounds one fixed policy governs, in one call each
     # ------------------------------------------------------------------
 
     def batch_rounds(self) -> int:
-        """Rounds the current policy still governs: the rest of the warmup or
-        of the current batch (0 once the horizon is exhausted).  Within them
-        the agent's choices depend on no single outcome."""
-        if self.stage == "warmup":
-            return self.tau0 - self.t
-        if self.stage == "epochs":
-            return self._batch_left
-        return 0
+        """Rounds the current policy still governs: the rest of the current
+        batch (0 once the horizon is exhausted).  Within them the agent's
+        choices depend on no single outcome."""
+        return self._batch_left
 
     def propose_batch(self, groups: np.ndarray) -> np.ndarray:
         """Grid indices for ``len(groups)`` consecutive arrivals, at most
@@ -280,11 +270,11 @@ class FpaAgent:
                                 f"{self.batch_rounds()}")
         if not np.all((groups == 1) | (groups == 2)):
             raise ValueError("group must be 1 or 2")
-        if self.stage == "warmup":
+        if self._cums is None:
             idx = np.full(n, self.d - 1)
         else:
             u = draw_block(self.rng, n)
-            cum1, cum2 = self._cums[self._batch_idx]
+            cum1, cum2 = self._cums
             idx = np.where(groups == 1, np.searchsorted(cum1, u), np.searchsorted(cum2, u))
             np.minimum(idx, self.d - 1, out=idx)  # the cum[-1] = 1.0 float edge
         self._pending_batch = (groups, idx)
@@ -302,27 +292,15 @@ class FpaAgent:
         if accepted.shape != pending_idx.shape:
             raise ProtocolError("one acceptance per proposed round is needed")
         self._pending_batch = None
-        n = pending_idx.size
-        self.t += n
-        if self.stage == "warmup":
-            for g in (1, 2):
-                mine = pending_groups == g
-                self._warm_arrivals[g - 1] += int(np.count_nonzero(mine))
-                self._warm_accepts[g - 1] += int(np.count_nonzero(accepted & mine))
-        else:
-            cell = (pending_groups - 1) * self.d + pending_idx
-            self._m += np.bincount(cell, minlength=2 * self.d).reshape(2, self.d)
-            self._n += np.bincount(cell[accepted], minlength=2 * self.d).reshape(2, self.d)
-            self._batch_left -= n
-            self._epoch_left -= n
-        self._advance_schedule()
+        cell = (pending_groups - 1) * self.d + pending_idx
+        self._m += np.bincount(cell, minlength=2 * self.d).reshape(2, self.d)
+        self._n += np.bincount(cell[accepted], minlength=2 * self.d).reshape(2, self.d)
+        self._played(pending_idx.size)
 
     def current_policy(self) -> PolicyPair:
         """The policy governing the next proposal."""
-        if self.stage == "warmup":
-            return fixed_price_policy(self.d, self.d - 1)
-        if self.stage == "epochs":
-            return self._active[self._batch_idx]
+        if self.stage != "done":
+            return self._policy
         if self.incumbent is not None:
             return self.incumbent
         return fixed_price_policy(self.d, self.d - 1)
@@ -331,32 +309,35 @@ class FpaAgent:
     # schedule transitions
     # ------------------------------------------------------------------
 
-    def _advance_schedule(self) -> None:
-        """The transition due after the rounds just observed: warmup end,
-        epoch end (elimination, then the next epoch's probes) or next batch."""
-        if self.stage == "warmup":
+    def _played(self, n: int) -> None:
+        """Advance past ``n`` observed rounds: to the next queued batch or,
+        once the warmup or an epoch has spent its last batch, through the
+        elimination (after an epoch) to the next epoch's batches."""
+        self.t += n
+        self._batch_left -= n
+        if self._batch_left:
+            return
+        if not self._queue:
+            if self.stage == "epochs":
+                self._finalize_epoch()
             if self.t >= self.cfg.horizon:
                 self.stage = "done"
-            elif self.t == self.tau0:
+                return
+            if self.stage == "warmup":
                 self._finish_warmup()
-        elif self._epoch_left == 0:
-            self._finalize_epoch()
-            if self.t >= self.cfg.horizon:
-                self.stage = "done"
             else:
                 self._start_epoch(self.epoch + 1)
-        elif self._batch_left == 0:
-            self._advance_batch()
+        self._policy, self._cums, self._batch_left = self._queue.pop(0)
 
     def _finish_warmup(self) -> None:
-        rates = []
+        # Every warmup round posts the top price: row sums are per group.
+        arrivals, accepts = self._m.sum(axis=1).tolist(), self._n.sum(axis=1).tolist()
         for g in (0, 1):
-            if self._warm_arrivals[g] == 0 or self._warm_accepts[g] == 0:
+            if arrivals[g] == 0 or accepts[g] == 0:
                 raise DegenerateDemandError(
-                    f"group {g + 1} saw {self._warm_arrivals[g]} arrivals and "
-                    f"{self._warm_accepts[g]} acceptances during warmup")
-            rates.append(self._warm_accepts[g] / self._warm_arrivals[g])
-        self.fmin_hat = min(rates) / 2.0
+                    f"group {g + 1} saw {arrivals[g]} arrivals and "
+                    f"{accepts[g]} acceptances during warmup")
+        self.fmin_hat = min(n / m for n, m in zip(accepts, arrivals)) / 2.0
         self.stage = "epochs"
         self._start_epoch(1)
 
@@ -394,34 +375,19 @@ class FpaAgent:
             active = [self.incumbent if self.incumbent is not None
                       else fixed_price_policy(self.d, self.d - 1)]
 
-        self._active = active
-        self._cums = [tuple(list(accumulate(pol.weights(g))) for g in (1, 2))
-                      for pol in active]
-        share = run_len // len(active)
-        sizes = [share] * len(active)
-        sizes[-1] += run_len - share * len(active)
-        self._batch_sizes = sizes
-        self._epoch_left = run_len
+        # Equal batches, the remainder to the last; a short epoch leaves
+        # the first batches empty, and those are not queued.
+        share, extra = divmod(run_len, len(active))
+        sizes = [share] * (len(active) - 1) + [share + extra]
+        self._queue = [(pol, tuple(list(accumulate(pol.weights(g))) for g in (1, 2)), size)
+                       for pol, size in zip(active, sizes) if size]
         self._m[:] = 0
         self._n[:] = 0
-        self._batch_idx = -1
-        self._advance_batch()
         self.epochs_info.append({
             "epoch": k, "tau": self._params.tau, "run_len": run_len,
             "delta_r": self._params.delta_r, "delta_s": self._params.delta_s,
             "n_active": len(active), "truncated": self._epoch_truncated,
         })
-
-    def _advance_batch(self) -> None:
-        self._batch_idx += 1
-        while (self._batch_idx < len(self._batch_sizes)
-               and self._batch_sizes[self._batch_idx] == 0):
-            self._batch_idx += 1
-        if self._batch_idx >= len(self._batch_sizes):
-            self._batch_idx = len(self._batch_sizes) - 1  # only zero batches left
-            self._batch_left = 0
-            return
-        self._batch_left = self._batch_sizes[self._batch_idx]
 
     def _estimates(self) -> AcceptanceModel:
         """This epoch's acceptance estimates: empirical rate floored at the

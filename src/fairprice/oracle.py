@@ -733,10 +733,8 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     anchor = _AnchorRows(v, f1, f2, q, delta, entries, lp_c)
 
-    def keep(order, u, rows, x) -> float:
-        """Re-solve x as a vertex and keep it if it clears the ledger;
-        returns its value, or -inf."""
-        x = rows.vertex(x)
+    def keep(order, u, x) -> float:
+        """Keep the vertex x if it clears the ledger; return its value, or -inf."""
         if not _clears_ledger(v, q, entries, x[:d], x[d:]):
             return -np.inf
         found.append((order, _row_from_weights(v, f1, f2, q, float(c @ x), mid + half * u,
@@ -759,7 +757,7 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
         seg = None if x is None else _follow_basis(nodes[phase], rows, x, u)
         if seg is None:  # degenerate, or a basis that ends at once: nudge on
             if not phase:
-                keep(next(order), u, rows, x)
+                keep(next(order), u, x)
             u, nudge = u + nudge, 10.0 * nudge
             continue
         lower, upper, basis, cols, coef = seg
@@ -785,7 +783,7 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
         if value < best - _RESOLVE_MARGIN:
             break
         rows = anchor.at(mid + half * w)
-        best = max(best, keep(k, w, rows, rows.basis_point(basis, cols)))
+        best = max(best, keep(k, w, rows.vertex(rows.basis_point(basis, cols))))
     found.sort(key=lambda f: f[0])
     return max((row for _, row in found), key=lambda r: (r.value, r.revenue), default=None)
 

@@ -274,15 +274,16 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
 
 
 def write_summary_json(summary: dict, path: str) -> None:
+    """Write the summary as strict JSON: a NaN or an infinity raises
+    ValueError before the file is opened."""
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
                 record_every: int = 1,
-                oracle_revenue: Optional[float] = None,
-                epoch_hook: Optional[Callable] = None) -> RunTrace:
+                oracle_revenue: Optional[float] = None) -> RunTrace:
     """Run one agent against one market for ``horizon`` rounds.
 
     An agent with the batch protocol (``batch_rounds``, ``propose_batch``,
@@ -297,8 +298,6 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
         oracle_revenue: per-round revenue of the fair optimum; computed here
             when omitted (pass it in when sweeping many seeds).
         record_every: keep every n-th round record (totals stay exact).
-        epoch_hook: called as hook(agent, t) right after any round in which the
-            agent's elimination ledger grew (for boundary instrumentation).
 
     Returns:
         RunTrace with records, exact cumulative metrics, and agent metadata.
@@ -313,9 +312,9 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
     streams = (random.Random(stream_seed(seed, "env-groups")),
                random.Random(stream_seed(seed, "env-values")))
     if callable(getattr(agent, "propose_batch", None)):
-        _play_blocks(agent, market, trace, record_every, streams, epoch_hook)
+        _play_blocks(agent, market, trace, record_every, streams)
     else:
-        _play_rounds(agent, market, trace, record_every, streams, epoch_hook)
+        _play_rounds(agent, market, trace, record_every, streams)
     meta = getattr(agent, "meta", None)
     trace.agent_meta = meta() if callable(meta) else {}
     return trace
@@ -340,7 +339,7 @@ def _policy_costs(market: MarketConfig, oracle_revenue: float) -> Callable:
 
 
 def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int,
-                 streams: tuple, epoch_hook: Optional[Callable]) -> None:
+                 streams: tuple) -> None:
     """The reference loop: one Python round at a time, for any agent."""
     horizon = trace.horizon
     v = market.grid.prices
@@ -348,8 +347,6 @@ def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int
     q = market.q
     group_rng, value_rng = streams
     costs = _policy_costs(market, trace.oracle_revenue)
-    ledger = getattr(agent, "ledger", None)
-    ledger_len = len(ledger) if ledger is not None else 0
 
     for t in range(1, horizon + 1):
         group = 1 if group_rng.random() < q else 2
@@ -371,10 +368,6 @@ def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int
             trace.records.append(RoundRecord(
                 t, group, idx, accepted, reward, inst_regret, inst_s, inst_u,
                 trace.cum_regret, trace.cum_s, trace.cum_u, trace.cum_reward, epoch))
-        if ledger is not None and len(ledger) != ledger_len:
-            ledger_len = len(ledger)
-            if epoch_hook is not None:
-                epoch_hook(agent, t)
 
 
 def _running(start: float, steps, n: int) -> np.ndarray:
@@ -388,7 +381,7 @@ def _running(start: float, steps, n: int) -> np.ndarray:
 
 
 def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int,
-                 streams: tuple, epoch_hook: Optional[Callable]) -> None:
+                 streams: tuple) -> None:
     """Blocks of rounds under one fixed policy, as whole arrays: each block
     is at most the agent's ``batch_rounds()`` and ``MAX_BLOCK_ROUNDS``."""
     horizon = trace.horizon
@@ -396,8 +389,6 @@ def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int
     curves = np.stack([market.accept.group1, market.accept.group2])
     group_rng, value_rng = streams
     costs = _policy_costs(market, trace.oracle_revenue)
-    ledger = getattr(agent, "ledger", None)
-    ledger_len = len(ledger) if ledger is not None else 0
 
     t = 0
     while t < horizon:
@@ -431,10 +422,6 @@ def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int
             columns.append([epoch] * keep.size)
             trace.records.extend(map(RoundRecord._make, zip(*columns)))
         t += n
-        if ledger is not None and len(ledger) != ledger_len:
-            ledger_len = len(ledger)
-            if epoch_hook is not None:
-                epoch_hook(agent, t)
 
 
 # ---------------------------------------------------------------------------

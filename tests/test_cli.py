@@ -246,6 +246,25 @@ def test_sweep_rejects_thin_grids(capsys):
     assert main(["sweep", "--preset", "example1",
                  "--horizons", "300,600,1200", "--seeds", "3"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["sweep", "--preset", "example1", "--horizons", "300,600,1200"]) == 2
+    assert capsys.readouterr().err == "error: sweep needs at least 5 seeds\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_sweep_writes_no_slope_for_a_zero_mean(tmp_path, capsys):
+    """On the flat-profile family every seed's S is 0 at T = 9000, so S has
+    no log-log slope: it is null in the summary and n/a on stdout."""
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--preset", "lowerbound", "--lb-d", "3",
+                 "--horizons", "3000,6000,9000", "--seeds", "5", "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["curve"][-1]["mean_s"] == 0.0
+    assert summary["slope_s"] is None and summary["slope_regret"] > 0.0
+    assert "log-log slopes: regret 0.4857, S n/a" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

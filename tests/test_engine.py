@@ -160,7 +160,6 @@ class _RoundByRound:
 
     def __init__(self, agent):
         self._agent = agent
-        self.ledger = agent.ledger
 
     def propose_price(self, group):
         return self._agent.propose_price(group)
@@ -180,14 +179,12 @@ class _RoundByRound:
 
 
 def _outputs(tmp_path, name, agent, market, horizon, seed, record_every):
-    hooks = []
     trace = run_episode(agent, market, horizon, seed=seed, record_every=record_every,
-                        oracle_revenue=R_STAR,
-                        epoch_hook=lambda a, t: hooks.append((t, len(a.ledger))))
+                        oracle_revenue=R_STAR)
     write_trace_csv(trace, str(tmp_path / f"{name}.csv"))
     write_summary_json(trace.summary(), str(tmp_path / f"{name}.json"))
     return ((tmp_path / f"{name}.csv").read_bytes(),
-            (tmp_path / f"{name}.json").read_bytes(), hooks)
+            (tmp_path / f"{name}.json").read_bytes())
 
 
 def _assert_same_bytes(tmp_path, horizon, record_every, agent_horizon=None, seed=0,
@@ -202,21 +199,20 @@ def _assert_same_bytes(tmp_path, horizon, record_every, agent_horizon=None, seed
                     record_every)
     assert got[0] == want[0], "trace CSV differs"
     assert got[1] == want[1], "summary JSON differs"
-    assert got[2] == want[2], "epoch hook calls differ"
-    return batched, got[2]
+    return batched
 
 
 @pytest.mark.parametrize("record_every", [1, 7, 10**9])
 @pytest.mark.parametrize("horizon", [40, 60, 10_000])
 def test_engine_writes_the_loops_bytes(tmp_path, horizon, record_every):
-    agent, hooks = _assert_same_bytes(tmp_path, horizon, record_every)
+    agent = _assert_same_bytes(tmp_path, horizon, record_every)
     tau0 = warmup_length(agent.cfg)
     if horizon == 40:
         assert horizon <= tau0 and agent.epoch == 0
     elif horizon == 60:
-        assert tau0 < horizon and agent.epoch == 1 and not hooks
+        assert tau0 < horizon and agent.epoch == 1 and not agent.ledger
     else:
-        assert "epoch_truncated:e5" in agent.flags and len(hooks) == 4
+        assert "epoch_truncated:e5" in agent.flags and len(agent.ledger) == 4
 
 
 def test_engine_cuts_long_batches_into_blocks(tmp_path, monkeypatch):
@@ -225,13 +221,13 @@ def test_engine_cuts_long_batches_into_blocks(tmp_path, monkeypatch):
 
 
 def test_engine_matches_the_loop_in_theory_mode(tmp_path):
-    agent, _ = _assert_same_bytes(tmp_path, 3000, 7, seed=1, mode="theory")
+    agent = _assert_same_bytes(tmp_path, 3000, 7, seed=1, mode="theory")
     assert agent.epoch >= 1
 
 
 def test_engine_matches_the_loop_on_a_shorter_run(tmp_path):
-    agent, hooks = _assert_same_bytes(tmp_path, 3000, 1, agent_horizon=10_000, seed=4)
-    assert agent.t == 3000 and agent.stage == "epochs" and hooks
+    agent = _assert_same_bytes(tmp_path, 3000, 1, agent_horizon=10_000, seed=4)
+    assert agent.t == 3000 and agent.stage == "epochs" and agent.ledger
 
 
 def test_engine_refuses_rounds_past_the_agents_horizon():
