@@ -19,6 +19,17 @@ Schedule:
 
 The warmup and each epoch end when their last batch is spent.
 
+When nothing survives the ledger the agent still plays, and says so in its
+flags:
+
+* no probe keeps a policy — the epoch plays the incumbent alone, or the top
+  price if there is no incumbent yet (``empty_active_set:e<k>``);
+* the optimizer finds no member of the ledger — the incumbent becomes the
+  best fixed price by estimated revenue, the ledger ignored
+  (``optimizer_ledger_infeasible:e<k>``).
+
+So the policy played can be a non-member of the ledger.
+
 Radii halve every epoch as batch lengths double.  Two constant schedules are
 built in: "theory" uses the analysis constants (conservative by orders of
 magnitude at bench horizons) and "scaled" replaces them with a single knob
@@ -167,6 +178,16 @@ def epoch_params(cfg: FpaConfig, k: int, fmin_hat: Optional[float] = None) -> Ep
     return EpochParams(k, max(1, math.ceil(tau_exact)), delta_r, delta_s)
 
 
+def _count_below(cum: list[float], u: np.ndarray) -> np.ndarray:
+    """For each draw, how many of the nondecreasing weights cum lie strictly
+    below it: bisect_left's index, one pass per weight, counted in the
+    narrowest integer that holds len(cum)."""
+    count = np.zeros(u.size, dtype=np.min_scalar_type(len(cum)))
+    for c in cum:
+        count += u > c
+    return count
+
+
 def _policy_key(policy: PolicyPair) -> tuple:
     return tuple(np.round(np.r_[policy.group1.weights, policy.group2.weights], 12))
 
@@ -275,8 +296,8 @@ class FpaAgent:
         else:
             u = draw_block(self.rng, n)
             cum1, cum2 = self._cums
-            idx = np.where(groups == 1, np.searchsorted(cum1, u), np.searchsorted(cum2, u))
-            np.minimum(idx, self.d - 1, out=idx)  # the cum[-1] = 1.0 float edge
+            idx = np.where(groups == 1, _count_below(cum1, u), _count_below(cum2, u))
+            idx = np.minimum(idx, self.d - 1, dtype=np.intp)  # the cum[-1] = 1.0 float edge
         self._pending_batch = (groups, idx)
         return idx
 

@@ -629,13 +629,26 @@ def _fit_basis(nodes: _Rows, rows, cols) -> np.ndarray:
     return np.linalg.solve(_FIT_VANDER, values)
 
 
-def _follow_basis(nodes: _Rows, here: _Rows, x: np.ndarray, u0: float):
+def _basis_span(nodes: _Rows, rows, cols):
+    """What following a basis takes from the basis alone, whatever u0:
+    its fit (_fit_basis), D's largest coefficient, the columns above
+    rounding noise and their real roots on [-1, 1]."""
+    coef = _fit_basis(nodes, rows, cols)
+    scale = np.max(np.abs(coef[:, 0]))
+    live = np.flatnonzero(np.max(np.abs(coef), axis=0) > 1e-11 * scale)
+    return coef, scale, live, _real_roots(coef[:, live].T, -1.0, 1.0)
+
+
+def _follow_basis(nodes: _Rows, spans: dict, here: _Rows, x: np.ndarray, u0: float):
     """(lower, upper, rows, cols, coef): the basis of the vertex x of here
     (the rows at u0) and the stretch of u around u0 where the basis stays
     optimal, or None if it fails just right of u0.  A degenerate x (more
     active rows than weights) is completed with zero weights or zero slacks;
-    the first completion that holds wins.  Zero polynomials (a flat
-    objective's reduced costs) set no bound."""
+    the first completion that holds wins.  Each basis is fitted once per
+    set of nodes: spans (basis -> _basis_span) keeps the fits of earlier
+    calls, so a revisit only checks D's sign at u0, the stretch around u0
+    and the midpoints.  Zero polynomials (a flat objective's reduced costs)
+    set no bound."""
     n_eq, active = here.n_eq, list(here.active(x))
     support = list(np.flatnonzero(x > _NONNEG_TOL))
     spare = [(j, None) for j in range(x.size) if j not in support]
@@ -645,12 +658,13 @@ def _follow_basis(nodes: _Rows, here: _Rows, x: np.ndarray, u0: float):
         rows = [i for i in active if (None, i) not in extra]
         if len(rows) != len(cols):
             return None  # more weights than active rows: not a vertex
-        coef = _fit_basis(nodes, rows, cols)
-        scale, d0 = np.max(np.abs(coef[:, 0])), np.polyval(coef[:, 0], u0)
+        key = (tuple(rows), tuple(cols))
+        if key not in spans:
+            spans[key] = _basis_span(nodes, rows, cols)
+        coef, scale, live, roots = spans[key]
+        d0 = np.polyval(coef[:, 0], u0)
         if abs(d0) <= 1e-9 * scale:
             continue
-        live = np.flatnonzero(np.max(np.abs(coef), axis=0) > 1e-11 * scale)
-        roots = _real_roots(coef[:, live].T, -1.0, 1.0)
         upper = np.min(roots[roots > u0 + 1e-12], initial=1.0)
         lower = np.max(roots[roots < u0], initial=-1.0)
         vals = np.vander([0.5 * (lower + u0), 0.5 * (u0 + upper)], _FIT_NODES.size) @ coef
@@ -722,9 +736,11 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     basis stops being primal or dual feasible.  The LP's infeasible
     stretches are walked in its least-violation LP; a basis that cannot be
     followed is left by ever larger nudges, and the vertex found there is
-    kept as it is.  After the walk the candidates are solved from their
-    basis and re-solved as a vertex, best fitted value first, until none
-    left can win."""
+    kept as it is.  Each phase's fit nodes come with the search's fits of
+    that phase (_basis_span by basis), so a basis met again, at a nudge or
+    as a degenerate vertex's trial completion, is not fitted again.  After
+    the walk the candidates are solved from their basis and re-solved as a
+    vertex, best fitted value first, until none left can win."""
     d, c = v.size, spec.c
     lo, hi = float(v[0]), float(v[-1])
     if hi <= lo:
@@ -752,9 +768,9 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
             res = lp_maximize(rows.lp())
         if phase not in nodes:
             at_nodes = anchor.at_nodes(mid + half * _FIT_NODES)
-            nodes[phase] = _phase1(at_nodes, d, len(entries)) if phase else at_nodes
+            nodes[phase] = _phase1(at_nodes, d, len(entries)) if phase else at_nodes, {}
         x = rows.vertex(res.x) if res.status == OPTIMAL else None
-        seg = None if x is None else _follow_basis(nodes[phase], rows, x, u)
+        seg = None if x is None else _follow_basis(*nodes[phase], rows, x, u)
         if seg is None:  # degenerate, or a basis that ends at once: nudge on
             if not phase:
                 keep(next(order), u, x)

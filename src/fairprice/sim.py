@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -260,17 +261,36 @@ class RunTrace:
 
 
 _CSV_COLUMNS = RoundRecord._fields
-# One row per record, as csv.writer wrote it: %d of a bool is 0/1, %.17g is
-# the format of f"{x:.17g}", and \r\n is csv.writer's line terminator.
-_CSV_ROW = "%d,%d,%d,%d," + ",".join(["%.17g"] * 8) + ",%d\r\n"
+# A row as csv.writer wrote it, in two formats: fields 2-8 (the round's
+# outcome and its instant metrics: 338 distinct values in the 10,001 rows of
+# the example at T = 1e6), then the line around them (t, the running totals,
+# epoch).  %d of a bool is
+# 0/1, %.17g is the format of f"{x:.17g}", and \r\n is csv.writer's line
+# terminator.
+_CSV_OUTCOME = "%d,%d,%d," + ",".join(["%.17g"] * 4)
+_CSV_LINE = "%d,%s," + ",".join(["%.17g"] * 4) + ",%d\r\n"
+# %.17g formats float(x), so a float's bits fix its text: -0.0 == 0.0 and a
+# NaN != itself, but their bits tell them apart.
+_FLOAT_BITS = struct.Struct("4d").pack
 
 
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Write the thinned records with floats at full 17-significant-digit
-    precision, so identical runs produce byte-identical files."""
+    precision, so identical runs produce byte-identical files.  Each distinct
+    outcome (fields 2-8) is formatted once per call; rows stream to the
+    file."""
+    outcomes: dict[tuple, str] = {}
+
+    def line(r: RoundRecord) -> str:
+        key = (r[1], r[2], r[3], _FLOAT_BITS(r[4], r[5], r[6], r[7]))
+        text = outcomes.get(key)
+        if text is None:
+            text = outcomes[key] = _CSV_OUTCOME % r[1:8]
+        return _CSV_LINE % (r[0], text, r[8], r[9], r[10], r[11], r[12])
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\r\n")
-        fh.writelines(_CSV_ROW % r for r in trace.records)
+        fh.writelines(map(line, trace.records))
 
 
 def write_summary_json(summary: dict, path: str) -> None:

@@ -2,11 +2,13 @@
 agent's batch protocol, and byte-identical output against the per-round loop."""
 
 import random
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import fairprice.fpa
 import fairprice.sim
 from fairprice import (
     AcceptanceModel,
@@ -120,6 +122,26 @@ def test_batch_protocol_is_enforced():
         agent.observe_batch(groups, idx, np.ones(2, dtype=bool))
     agent.observe_batch(groups, idx, np.array([True, False, True]))
     assert agent.t == 3 and agent.batch_rounds() == agent.tau0 - 3
+
+
+def test_batch_draws_pick_bisect_lefts_index(monkeypatch):
+    """propose_batch counts the cumulative weights below each draw; that is
+    bisect_left's index, as propose_price finds it, including at zero-weight
+    prices (repeated sums), draws exactly on a sum and a last sum short of
+    1 by rounding."""
+    cums = ([0.25, 0.25, 0.75], [0.0, 0.5, 1.0 - 2.0**-52])
+    draws = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-52, 1.0 - 2.0**-53,
+                      np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0),
+                      np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.1, 0.9])
+    draws, groups = np.r_[draws, draws], np.repeat([1, 2], draws.size)
+    agent = _agent(2000)
+    agent._cums = cums
+    monkeypatch.setattr(fairprice.fpa, "draw_block", lambda rng, n: draws[:n])
+    idx = agent.propose_batch(groups)
+    want = [min(bisect_left(cums[g - 1], u), agent.d - 1) for g, u in zip(groups, draws)]
+    assert idx.tolist() == want
+    assert idx.dtype == np.intp
+    assert set(want) == {0, 1, 2}
 
 
 def test_batches_and_single_rounds_interleave():

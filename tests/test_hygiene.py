@@ -1,5 +1,7 @@
 """Source hygiene that needs no linter: every module-level import is used,
-and every module-level private name is referenced somewhere in the package."""
+every module-level private name is referenced somewhere in the package, and
+no cache outlives a call (no module-level dict, list or set but
+``__all__``, no ``functools`` cache)."""
 
 from __future__ import annotations
 
@@ -87,3 +89,58 @@ def test_the_check_catches_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+_CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+_FUNCTOOLS_CACHES = {"cache", "lru_cache"}
+
+
+def _is_container(value: ast.expr) -> bool:
+    """A dict, list or set display or comprehension, or a call that builds
+    one (``dict()``, ``collections.defaultdict(list)``, ...)."""
+    if isinstance(value, _CONTAINER_NODES):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _CONTAINER_CALLS
+    return False
+
+
+def lasting_caches(source: str) -> list[str]:
+    """Module-level names bound to a dict, list or set (``__all__`` aside),
+    and every use of ``functools.cache`` or ``functools.lru_cache``: state
+    that would outlive the call that filled it."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_container(value):
+            found += [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"functools.{a.name}" for a in node.names if a.name in _FUNCTOOLS_CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(f"functools.{node.attr}")
+    return found
+
+
+def test_the_check_catches_a_lasting_cache():
+    source = ("import functools\nfrom functools import lru_cache, reduce\n"
+              "__all__ = ['f']\n_SEEN = {}\nNAMES: list[str] = []\n_MEMO = dict()\n"
+              "KINDS = ('a', 'b')\nROW = ','.join(['%d'] * 3)\n"
+              "@functools.cache\ndef f(x):\n    local = {}\n    return local.get(x)\n")
+    assert lasting_caches(source) == ["_SEEN", "NAMES", "_MEMO", "functools.lru_cache",
+                                      "functools.cache"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cache_outlives_a_call(path):
+    assert lasting_caches(path.read_text()) == []

@@ -533,6 +533,53 @@ def test_lazy_scoring_passes_over_candidates_a_snapshot_rejects(monkeypatch):
     assert _search_bits(market, market.accept, ledger, 0.05) == lazy
 
 
+@pytest.mark.parametrize("delta,bases", [(0.0, 3), (0.01, 7), (0.03, 2)])
+def test_the_walk_fits_each_basis_once(delta, bases, monkeypatch):
+    """The example's optimum sits where the fair LP's feasible stretch ends
+    (v_s = 8/11), so the walk nudges past a degenerate vertex and meets the
+    same trial bases again: each is fitted once per search all the same."""
+    fits, real = [], oracle._fit_basis
+
+    def fit_basis(nodes, rows, cols):
+        # n_eq tells the two phases' nodes apart (phase 1 has two fewer)
+        fits.append((nodes.n_eq, tuple(rows), tuple(cols)))
+        return real(nodes, rows, cols)
+
+    monkeypatch.setattr(oracle, "_fit_basis", fit_basis)
+    solve_relaxed_optimal(example_eps_market(0.0), delta)
+    assert len(set(fits)) == len(fits) == bases
+
+
+@pytest.mark.parametrize("market", [example_eps_market(0.0), lowerbound_family_market(2, 4, 1e5)],
+                         ids=["example", "hard-d4"])
+def test_the_walk_keeps_the_first_of_tied_candidates(market, monkeypatch):
+    """Every candidate ties on (value, revenue), and each basis lists one
+    point, the start of its stretch, fitted higher the later it comes: the
+    search returns the first candidate in walk order, the one at the
+    lowest v_s, not the first one re-solved or the last one walked."""
+    rows, starts, real = [], [], oracle._row_from_weights
+
+    def row_from_weights(*args):
+        rows.append(real(*args))
+        rows[-1].value = rows[-1].revenue = 0.0
+        return rows[-1]
+
+    def basis_points(v, entries, coef, cols, lo, hi, objectives):
+        starts.append(lo)
+        return np.array([lo]), np.array([2.0 + lo])
+
+    monkeypatch.setattr(oracle, "_row_from_weights", row_from_weights)
+    monkeypatch.setattr(oracle, "_basis_points", basis_points)
+    v, f1, f2, q = market.grid.prices, market.accept.group1, market.accept.group2, market.q
+    spec = oracle._Objective(np.r_[q * v * f1, (1.0 - q) * v * f2])
+    best = oracle._search_lp(v, f1, f2, q, 0.03, [], spec)
+    assert len(rows) == len(starts) >= 2  # no nudged vertex: walk order is v_s order
+    first = min(rows, key=lambda r: r.point.v_s)
+    assert any(not np.array_equal(np.r_[r.pi1, r.pi2], np.r_[first.pi1, first.pi2])
+               for r in rows)
+    assert best is first
+
+
 # ---------------------------------------------------------------------------
 # elimination ledger and membership
 # ---------------------------------------------------------------------------

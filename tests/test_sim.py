@@ -259,8 +259,16 @@ def test_round_record_is_a_read_only_record_by_name(example_market):
 
 
 def test_csv_header_and_row_format_cover_every_field():
-    assert fairprice.sim._CSV_COLUMNS == RoundRecord._fields
-    assert fairprice.sim._CSV_ROW.count("%") == len(RoundRecord._fields)
+    """The outcome format fills the line format's one %s; together they
+    write every field once, in the header's order."""
+    sim = fairprice.sim
+    assert sim._CSV_COLUMNS == RoundRecord._fields
+    assert sim._CSV_LINE.count("%s") == 1
+    assert (sim._CSV_LINE.count("%") - 1 + sim._CSV_OUTCOME.count("%")
+            == len(RoundRecord._fields))
+    fields = range(1, len(RoundRecord._fields) + 1)
+    line = sim._CSV_LINE % (1, sim._CSV_OUTCOME % tuple(fields[1:8]), *fields[8:])
+    assert line == ",".join(map(str, fields)) + "\r\n"
 
 
 def _csv_writer_bytes(trace: RunTrace) -> bytes:
@@ -298,10 +306,28 @@ def _edge_trace() -> RunTrace:
     return trace
 
 
-@pytest.mark.parametrize("source", ["edge", "ucb_fixed", "fpa"])
+def _repeated_outcome_trace() -> RunTrace:
+    """Rows whose outcomes (fields 2-8) compare equal but are written
+    differently (-0.0 and 0.0, NaNs), or differ in type only (bool, numpy
+    scalars, int for float), each outcome on several rows."""
+    nan = math.nan
+    outcomes = [(1, 0, True, 0.5, 0.0, 0.0, 0.0), (1, 0, True, 0.5, -0.0, 0.0, 0.0),
+                (1, np.int64(0), np.bool_(True), np.float64(0.5), 0.0, -0.0, 0.0),
+                (2, 2, False, 0.0, nan, float("nan"), 0.0), (2, 2, 0, 0, nan, nan, 0),
+                (2, 2, False, -0.0, np.float64(nan), 1e-300, 0.0)]
+    trace = RunTrace(horizon=3 * len(outcomes), seed=0, oracle_revenue=0.5)
+    for k in range(trace.horizon):
+        trace.records.append(RoundRecord(k + 1, *outcomes[k % len(outcomes)],
+                                         0.1 * k, 0.0, -0.0, 0.5 * k, k // 4))
+    return trace
+
+
+@pytest.mark.parametrize("source", ["edge", "repeated", "ucb_fixed", "fpa"])
 def test_trace_csv_bytes_match_the_csv_writer(tmp_path, example_market, source):
     if source == "edge":
         trace = _edge_trace()
+    elif source == "repeated":
+        trace = _repeated_outcome_trace()
     elif source == "ucb_fixed":
         trace = run_episode(baseline_agent("ucb_fixed", example_market), example_market,
                             300, seed=1, record_every=7, oracle_revenue=R_STAR)
