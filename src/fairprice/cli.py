@@ -8,7 +8,8 @@ file.  Outputs are deterministic (no timestamps, sorted JSON keys, fixed
 float formatting), so identical invocations give byte-identical files.
 
 Configuration comes from an optional flat key/value file (``--config``) with
-dotted keys, overridden by command-line flags::
+the dotted keys of ``CONFIG_KEYS`` (any other key is an error, so a misspelt
+key cannot fall back to its default unnoticed), overridden by flags::
 
     # experiment.cfg
     environment.preset = example-eps
@@ -64,6 +65,11 @@ from .validation import run_all
 
 AGENT_KINDS = ("fpa",) + BASELINE_KINDS
 PRESETS = ("example1", "example-eps", "lowerbound")
+CONFIG_KEYS = ("environment.preset", "environment.eps", "environment.market_file",
+               "environment.lb_j", "environment.lb_d", "agent.kind", "agent.mode",
+               "agent.scale_factor", "agent.error_prob", "agent.relaxation_l",
+               "run.horizon", "run.seeds", "run.record_every", "output.dir",
+               "sweep.horizons", "sweep.seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +77,8 @@ PRESETS = ("example1", "example-eps", "lowerbound")
 # ---------------------------------------------------------------------------
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file with '#' comments into a dict."""
+    """Parse a flat ``key = value`` file with '#' comments into a dict.  A
+    line without '=' or a key outside ``CONFIG_KEYS`` raises ValueError."""
     settings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -80,8 +87,10 @@ def load_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            settings[key] = value
     return settings
 
 
@@ -188,6 +197,35 @@ def _auto_record_every(horizon: int) -> int:
 # ---------------------------------------------------------------------------
 # episode cells (run in worker processes during sweeps)
 # ---------------------------------------------------------------------------
+
+def _cell_payloads(market: MarketConfig, horizon: int, seeds: Sequence[int],
+                   agent_cfg: dict, record_every: int, oracle_revenue: float,
+                   out_dir: Optional[str] = None, emit: Sequence[str] = (),
+                   echo: Optional[dict] = None) -> list[dict]:
+    """One :func:`_episode_cell` payload per seed: an episode of ``horizon``
+    rounds on ``market``, writing the files ``emit`` names into ``out_dir``
+    with ``echo`` as the summary's config."""
+    market_text = market_to_text(market)
+    return [{
+        "market_text": market_text, "horizon": horizon, "seed": seed,
+        "agent": agent_cfg, "record_every": record_every,
+        "oracle_revenue": oracle_revenue, "out_dir": out_dir,
+        "write_trace": "trace" in emit, "write_summary": "summary" in emit,
+        "echo": {} if echo is None else echo,
+    } for seed in seeds]
+
+
+def _cell_stats(cells: Sequence[dict]) -> dict:
+    """Mean and standard error of the mean of the cells' regret and S (the
+    error of one cell is 0)."""
+    stats = {}
+    for name in ("regret", "s"):
+        arr = np.array([c[f"cum_{name}"] for c in cells])
+        stats[f"mean_{name}"] = float(arr.mean())
+        stats[f"stderr_{name}"] = (float(arr.std(ddof=1) / math.sqrt(arr.size))
+                                   if arr.size > 1 else 0.0)
+    return stats
+
 
 def _episode_cell(payload: dict) -> dict:
     """One (horizon, seed) episode; file writes use cell-unique names."""
@@ -314,14 +352,8 @@ def cmd_run(args) -> int:
     emit = _parse_emit(args.emit)
     echo = _echo(env, agent_cfg, {"run.horizon": horizon, "run.seeds": seeds,
                                   "run.record_every": record_every})
-    payloads = [{
-        "market_text": market_to_text(market), "horizon": horizon, "seed": seed,
-        "agent": agent_cfg, "record_every": record_every,
-        "oracle_revenue": oracle_revenue, "out_dir": out_dir,
-        "write_trace": "trace" in emit, "write_summary": "summary" in emit,
-        "echo": echo,
-    } for seed in seeds]
-    cells = _run_cells(payloads)
+    cells = _run_cells(_cell_payloads(market, horizon, seeds, agent_cfg, record_every,
+                                      oracle_revenue, out_dir, emit, echo))
     for cell in cells:
         print(f"T={cell['horizon']} seed={cell['seed']}: "
               f"regret {cell['cum_regret']:.3f}, S {cell['cum_s']:.3f}, "
@@ -363,17 +395,9 @@ def cmd_sweep(args) -> int:
     payloads = []
     for horizon in horizons:
         market = _build_market(env, horizon=horizon)
-        oracle_revenue = solve_fair_optimal(market).revenue
-        for seed in seeds:
-            payloads.append({
-                "market_text": market_to_text(market), "horizon": horizon,
-                "seed": seed, "agent": agent_cfg,
-                "record_every": max(1, horizon),  # summaries only; no row spam
-                "oracle_revenue": oracle_revenue, "out_dir": out_dir,
-                "write_trace": "trace" in emit,
-                "write_summary": "summary" in emit,
-                "echo": echo,
-            })
+        payloads += _cell_payloads(market, horizon, seeds, agent_cfg,
+                                   max(1, horizon),  # summaries only; no row spam
+                                   solve_fair_optimal(market).revenue, out_dir, emit, echo)
     cells = _run_cells(payloads)
 
     by_horizon: dict[int, list[dict]] = {}
@@ -382,16 +406,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for horizon in horizons:
         group = sorted(by_horizon[horizon], key=lambda c: c["seed"])
-        regs = np.array([c["cum_regret"] for c in group])
-        ss = np.array([c["cum_s"] for c in group])
-        rows.append({
-            "horizon": horizon,
-            "n_seeds": len(group),
-            "mean_regret": float(regs.mean()),
-            "stderr_regret": float(regs.std(ddof=1) / math.sqrt(len(regs))),
-            "mean_s": float(ss.mean()),
-            "stderr_s": float(ss.std(ddof=1) / math.sqrt(len(ss))),
-        })
+        rows.append({"horizon": horizon, "n_seeds": len(group), **_cell_stats(group)})
     slope_regret = _fit_slope(horizons, [r["mean_regret"] for r in rows])
     slope_s = _fit_slope(horizons, [r["mean_s"] for r in rows])
 
@@ -432,26 +447,10 @@ def cmd_compare_lb(args) -> int:
     for label, arm_eps in (("base", 0.0), ("perturbed", eps)):
         market = example_eps_market(arm_eps)
         oracle_revenue = solve_fair_optimal(market).revenue
-        payloads = [{
-            "market_text": market_to_text(market), "horizon": horizon, "seed": seed,
-            "agent": agent_cfg, "record_every": max(1, horizon),
-            "oracle_revenue": oracle_revenue, "out_dir": None,
-            "write_trace": False, "write_summary": False, "echo": {},
-        } for seed in seeds]
-        cells = _run_cells(payloads)
-        regs = np.array([c["cum_regret"] for c in cells])
-        ss = np.array([c["cum_s"] for c in cells])
-        arms[label] = {
-            "eps": arm_eps,
-            "oracle_revenue": oracle_revenue,
-            "mean_regret": float(regs.mean()),
-            "stderr_regret": float(regs.std(ddof=1) / math.sqrt(len(regs)))
-            if len(regs) > 1 else 0.0,
-            "mean_s": float(ss.mean()),
-            "stderr_s": float(ss.std(ddof=1) / math.sqrt(len(ss)))
-            if len(ss) > 1 else 0.0,
-            "cells": cells,
-        }
+        cells = _run_cells(_cell_payloads(market, horizon, seeds, agent_cfg,
+                                          max(1, horizon), oracle_revenue))
+        arms[label] = {"eps": arm_eps, "oracle_revenue": oracle_revenue,
+                       **_cell_stats(cells), "cells": cells}
 
     gap = abs((pert.v_s + pert.alpha) - (base.v_s + base.alpha))
     formula_gap = 360.0 * eps / (29.0 * (29.0 - 10.0 * eps))

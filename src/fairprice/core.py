@@ -21,6 +21,7 @@ import hashlib
 import random
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -81,6 +82,37 @@ def draw_block(rng: random.Random, n: int) -> np.ndarray:
         internal = tuple(_BLOCK_WORDS.tolist())
     rng.setstate((version, internal, gauss_next))
     return out
+
+
+def cumulative_weights(policy: PolicyPair) -> tuple[list[float], list[float]]:
+    """Each group's sampling table for ``policy``: the running sums of its
+    weights, set to exactly 1.0 from the last positive weight on.
+
+    Price i takes the draws u in [cum[i-1], cum[i]) (``bisect_right(cum, u)``
+    for one round, :func:`draw_prices` for a block).  A zero weight repeats
+    the sum before it, so it takes no draw, and no draw in [0, 1) passes the
+    last positive weight, however the sums round."""
+    tables = []
+    for w in (policy.group1.weights, policy.group2.weights):
+        last = int(np.flatnonzero(w)[-1])
+        tables.append(list(accumulate(w[:last].tolist())) + [1.0] * (w.size - last))
+    return tables[0], tables[1]
+
+
+def draw_prices(cums: tuple[list[float], list[float]], groups: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Grid indices for a block of arrivals ``groups`` (1 or 2) and their
+    draws ``u`` in [0, 1), under the tables of :func:`cumulative_weights`:
+    each draw's count of its group's sums c with u >= c, which is
+    ``bisect_right``'s index.  Counts one pass per price in the narrowest
+    integer type that holds them; the last sum, 1.0, takes no pass."""
+    counts = []
+    for cum in cums:
+        count = np.zeros(u.size, dtype=np.min_scalar_type(len(cum)))
+        for c in cum[:-1]:
+            count += u >= c
+        counts.append(count)
+    return np.where(groups == 1, counts[0], counts[1]).astype(np.intp)
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -257,11 +289,6 @@ class MarketConfig:
 def proposed_mean(grid: PriceGrid, dist: GroupDistribution) -> float:
     """Mean posted price v'pi for one group."""
     return float(grid.prices @ dist.weights)
-
-
-def acceptance_mass(accept_curve: np.ndarray, dist: GroupDistribution) -> float:
-    """Probability 1'F pi that a buyer from this group accepts."""
-    return float(np.asarray(accept_curve, float) @ dist.weights)
 
 
 def accepted_mean(grid: PriceGrid, accept_curve: np.ndarray, dist: GroupDistribution) -> float:

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -51,7 +50,9 @@ from .core import (
     AcceptanceModel,
     PolicyPair,
     PriceGrid,
+    cumulative_weights,
     draw_block,
+    draw_prices,
     fixed_price_policy,
     stream_seed,
 )
@@ -178,16 +179,6 @@ def epoch_params(cfg: FpaConfig, k: int, fmin_hat: Optional[float] = None) -> Ep
     return EpochParams(k, max(1, math.ceil(tau_exact)), delta_r, delta_s)
 
 
-def _count_below(cum: list[float], u: np.ndarray) -> np.ndarray:
-    """For each draw, how many of the nondecreasing weights cum lie strictly
-    below it: bisect_left's index, one pass per weight, counted in the
-    narrowest integer that holds len(cum)."""
-    count = np.zeros(u.size, dtype=np.min_scalar_type(len(cum)))
-    for c in cum:
-        count += u > c
-    return count
-
-
 def _policy_key(policy: PolicyPair) -> tuple:
     return tuple(np.round(np.r_[policy.group1.weights, policy.group2.weights], 12))
 
@@ -199,7 +190,12 @@ class FpaAgent:
     Or, for up to :meth:`batch_rounds` rounds at once, :meth:`propose_batch`
     then :meth:`observe_batch`: the same schedule and the same draws of the
     agent's stream, with numpy arrays in place of single rounds.  The two
-    protocols may alternate between rounds."""
+    protocols may alternate between rounds.
+
+    Each round of an epoch samples the batch's policy with one draw u of the
+    agent's stream, by the rule of :func:`~fairprice.core.cumulative_weights`:
+    the price whose interval [cum[i-1], cum[i]) holds u, so a zero-weight
+    price is never posted.  The warmup posts the top price and draws nothing."""
 
     def __init__(self, cfg: FpaConfig, oracle_cfg: Optional[OracleConfig] = None):
         self.cfg = cfg
@@ -222,8 +218,8 @@ class FpaAgent:
         self._pending: Optional[tuple[int, int]] = None
         self._pending_batch: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._params: Optional[EpochParams] = None
-        # The batch being played (its policy, cumulative weights and rounds
-        # left), then the epoch's queued batches.  The warmup has no weights:
+        # The batch being played (its policy, sampling tables and rounds
+        # left), then the epoch's queued batches.  The warmup has no tables:
         # it posts the top price and draws nothing.
         self._policy = fixed_price_policy(self.d, self.d - 1)
         self._cums: Optional[tuple[list[float], list[float]]] = None
@@ -238,7 +234,8 @@ class FpaAgent:
     # ------------------------------------------------------------------
 
     def propose_price(self, group: int) -> int:
-        """Grid index to post to the arriving buyer of ``group`` (1 or 2)."""
+        """Grid index to post to the arriving buyer of ``group`` (1 or 2):
+        ``bisect_right`` of one draw in the group's sampling table."""
         if group not in (1, 2):
             raise ValueError("group must be 1 or 2")
         if self._pending is not None or self._pending_batch is not None:
@@ -248,8 +245,7 @@ class FpaAgent:
         if self._cums is None:
             idx = self.d - 1
         else:
-            idx = bisect_left(self._cums[group - 1], self.rng.random())
-            idx = min(idx, self.d - 1)  # guard the cum[-1] = 1.0 float edge
+            idx = bisect_right(self._cums[group - 1], self.rng.random())
         self._pending = (group, idx)
         return idx
 
@@ -279,7 +275,8 @@ class FpaAgent:
     def propose_batch(self, groups: np.ndarray) -> np.ndarray:
         """Grid indices for ``len(groups)`` consecutive arrivals, at most
         :meth:`batch_rounds` of them.  Draws the agent's stream exactly as
-        that many :meth:`propose_price` calls would."""
+        that many :meth:`propose_price` calls would, and picks the same
+        prices (:func:`~fairprice.core.draw_prices`)."""
         if self._pending is not None or self._pending_batch is not None:
             raise ProtocolError("previous round still awaits observe()")
         if self.stage == "done":
@@ -294,10 +291,7 @@ class FpaAgent:
         if self._cums is None:
             idx = np.full(n, self.d - 1)
         else:
-            u = draw_block(self.rng, n)
-            cum1, cum2 = self._cums
-            idx = np.where(groups == 1, _count_below(cum1, u), _count_below(cum2, u))
-            idx = np.minimum(idx, self.d - 1, dtype=np.intp)  # the cum[-1] = 1.0 float edge
+            idx = draw_prices(self._cums, groups, draw_block(self.rng, n))
         self._pending_batch = (groups, idx)
         return idx
 
@@ -400,7 +394,7 @@ class FpaAgent:
         # the first batches empty, and those are not queued.
         share, extra = divmod(run_len, len(active))
         sizes = [share] * (len(active) - 1) + [share + extra]
-        self._queue = [(pol, tuple(list(accumulate(pol.weights(g))) for g in (1, 2)), size)
+        self._queue = [(pol, cumulative_weights(pol), size)
                        for pol, size in zip(active, sizes) if size]
         self._m[:] = 0
         self._n[:] = 0

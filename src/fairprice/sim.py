@@ -18,6 +18,7 @@ import json
 import math
 import random
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -30,7 +31,9 @@ from .core import (
     PolicyPair,
     PriceGrid,
     best_fixed_price,
+    cumulative_weights,
     draw_block,
+    draw_prices,
     expected_revenue,
     fixed_price_policy,
     procedural_gap,
@@ -307,10 +310,11 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
     """Run one agent against one market for ``horizon`` rounds.
 
     An agent with the batch protocol (``batch_rounds``, ``propose_batch``,
-    ``observe_batch``; :class:`~fairprice.fpa.FpaAgent`) is played a block of
-    rounds at a time with numpy; any other agent one round at a time.  Both
-    paths draw every random stream in the same order and add the running
-    totals in the same order, so they produce the same bytes.
+    ``observe_batch``: :class:`~fairprice.fpa.FpaAgent` and
+    :class:`FixedPolicyAgent`) is played a block of rounds at a time with
+    numpy; any other agent one round at a time.  Both paths draw every random
+    stream in the same order and add the running totals in the same order,
+    so they produce the same bytes.
 
     Args:
         agent: anything with propose_price(group) -> index,
@@ -341,19 +345,17 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
 
 
 def _policy_costs(market: MarketConfig, oracle_revenue: float) -> Callable:
-    """Per-round (regret, S, U) of a policy, cached by object identity (the
-    cache keeps a reference to each policy, so an id is never reused)."""
-    cache: dict[int, tuple] = {}
+    """Per-round (regret, S, U) of a policy, cached by the policy itself (a
+    ``PolicyPair`` hashes by identity)."""
+    cache: dict[PolicyPair, tuple[float, float, float]] = {}
 
     def costs(policy: PolicyPair) -> tuple[float, float, float]:
-        hit = cache.get(id(policy))
+        hit = cache.get(policy)
         if hit is None:
-            hit = (policy,
-                   oracle_revenue - expected_revenue(market, policy),
-                   substantive_gap(market, policy),
-                   procedural_gap(market.grid, policy))
-            cache[id(policy)] = hit
-        return hit[1:]
+            hit = cache[policy] = (oracle_revenue - expected_revenue(market, policy),
+                                   substantive_gap(market, policy),
+                                   procedural_gap(market.grid, policy))
+        return hit
 
     return costs
 
@@ -448,18 +450,34 @@ def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int
 # reference baselines
 # ---------------------------------------------------------------------------
 
-class BestFixedAgent:
-    """Posts the revenue-best single price (market known in advance)."""
+class FixedPolicyAgent:
+    """Samples one fixed policy every round: the best fixed price, the
+    group-wise optimum or the fair optimum (see :func:`baseline_agent`).
 
-    def __init__(self, market: MarketConfig):
-        idx, _ = best_fixed_price(market)
-        self._policy = fixed_price_policy(market.d, idx)
-        self._idx = idx
+    It draws prices from its own stream by the learner's rule
+    (:func:`~fairprice.core.cumulative_weights`), one draw per round in
+    either protocol: a batch draws as that many :meth:`propose_price` calls
+    would."""
+
+    def __init__(self, policy: PolicyPair, seed: int = 0):
+        self._policy = policy
+        self._rng = random.Random(stream_seed(seed, "agent"))
+        self._cums = cumulative_weights(policy)
 
     def propose_price(self, group: int) -> int:
-        return self._idx
+        return bisect_right(self._cums[group - 1], self._rng.random())
 
     def observe(self, group: int, price_index: int, accepted: bool) -> None:
+        pass
+
+    def batch_rounds(self) -> int:
+        return MAX_BLOCK_ROUNDS
+
+    def propose_batch(self, groups: np.ndarray) -> np.ndarray:
+        return draw_prices(self._cums, groups, draw_block(self._rng, groups.size))
+
+    def observe_batch(self, groups: np.ndarray, idx: np.ndarray,
+                      accepted: np.ndarray) -> None:
         pass
 
     def current_policy(self) -> PolicyPair:
@@ -501,68 +519,26 @@ class UcbFixedAgent:
         return self._policies[self._arm]
 
 
-class FairOracleAgent:
-    """Samples a fixed given policy (typically the fair optimum)."""
-
-    def __init__(self, policy: PolicyPair, seed: int = 0):
-        self._policy = policy
-        self._rng = random.Random(stream_seed(seed, "agent"))
-        self._cums = [np.cumsum(policy.weights(g)) for g in (1, 2)]
-
-    def propose_price(self, group: int) -> int:
-        u = self._rng.random()
-        return min(int(np.searchsorted(self._cums[group - 1], u, side="right")),
-                   self._policy.d - 1)
-
-    def observe(self, group: int, price_index: int, accepted: bool) -> None:
-        pass
-
-    def current_policy(self) -> PolicyPair:
-        return self._policy
-
-
-class GroupOracleAgent:
-    """Groupwise unconstrained optimum: each group gets its own best price.
-
-    Ignores fairness entirely; its procedural gap is whatever the two argmax
-    prices differ by.  Useful as the revenue ceiling in comparisons.
-    """
-
-    def __init__(self, market: MarketConfig):
-        v = market.grid.prices
-        i1 = int(np.argmax(v * market.accept.group1))
-        i2 = int(np.argmax(v * market.accept.group2))
-        w = np.zeros((2, market.d))
-        w[0, i1] = 1.0
-        w[1, i2] = 1.0
-        self._policy = PolicyPair.from_weights(w[0], w[1])
-        self._arms = (i1, i2)
-
-    def propose_price(self, group: int) -> int:
-        return self._arms[group - 1]
-
-    def observe(self, group: int, price_index: int, accepted: bool) -> None:
-        pass
-
-    def current_policy(self) -> PolicyPair:
-        return self._policy
-
-
 def baseline_agent(kind: str, market: MarketConfig, seed: int = 0,
                    policy: Optional[PolicyPair] = None):
     """Build one of the named reference agents for this market.
 
-    ``fair_oracle`` plays ``policy`` when given, otherwise it solves for the
-    fair optimum first.
+    ``best_fixed`` posts :func:`~fairprice.core.best_fixed_price` to both
+    groups, ``group_oracle`` each group its own revenue-best price (fairness
+    ignored: the revenue ceiling), and ``fair_oracle`` plays ``policy`` when
+    given, otherwise the fair optimum, solved first.  ``ucb_fixed`` learns.
     """
-    if kind == "best_fixed":
-        return BestFixedAgent(market)
     if kind == "ucb_fixed":
         return UcbFixedAgent(market.grid)
-    if kind == "fair_oracle":
+    if kind == "best_fixed":
+        policy = fixed_price_policy(market.d, best_fixed_price(market)[0])
+    elif kind == "group_oracle":
+        v = market.grid.prices
+        best = [int(np.argmax(v * market.accept.curve(g))) for g in (1, 2)]
+        policy = PolicyPair.from_weights(*np.eye(market.d)[best])
+    elif kind == "fair_oracle":
         if policy is None:
             policy = solve_fair_optimal(market).policy
-        return FairOracleAgent(policy, seed=seed)
-    if kind == "group_oracle":
-        return GroupOracleAgent(market)
-    raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
+    else:
+        raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
+    return FixedPolicyAgent(policy, seed=seed)

@@ -1,11 +1,14 @@
 """Command-line interface, driven in process through main()."""
 
+import ast
+import inspect
 import json
 
 import pytest
 
 from fairprice import MarketConfig, market_to_text
-from fairprice.cli import main, parse_horizons, parse_seed_spec, worker_count
+import fairprice.cli
+from fairprice.cli import CONFIG_KEYS, main, parse_horizons, parse_seed_spec, worker_count
 from fairprice.sim import example1_market, example_eps_market
 
 
@@ -220,6 +223,29 @@ def test_config_file_syntax_errors_are_reported(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "broken.cfg:1" in err
+
+
+def test_config_file_unknown_keys_are_errors(tmp_path, capsys):
+    """A misspelt key stops the command instead of leaving its setting at the
+    default."""
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("run.horizon = 500\nagent.scale_facter = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "typo.cfg" in err[0] and "'agent.scale_facter'" in err[0]
+    assert not out.exists()
+    for command in (["solve"], ["sweep"], ["compare-lb"]):
+        assert main(command + ["--config", str(cfg)]) == 2
+        assert "'agent.scale_facter'" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_keys_the_commands_read():
+    tree = ast.parse(inspect.getsource(fairprice.cli))
+    read = {node.args[2].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pick"}
+    assert read == set(CONFIG_KEYS) and len(CONFIG_KEYS) == 16
 
 
 # ---------------------------------------------------------------------------

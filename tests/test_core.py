@@ -1,6 +1,8 @@
 """Value types, fairness metrics, and the plain-text market format."""
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from fairprice import (
 from fairprice.core import (
     GroupDistribution,
     ZeroAcceptanceError,
-    acceptance_mass,
+    cumulative_weights,
+    draw_prices,
     group_expected_revenue,
     stream_seed,
 )
@@ -166,7 +169,6 @@ def test_accepted_mean_weights_by_acceptance(example_market):
     want = (0.625 * 0.6 + 1.0 * 0.5) / 1.1
     got = accepted_mean(m.grid, m.accept.group1, half)
     assert got == pytest.approx(want, abs=1e-15)
-    assert acceptance_mass(m.accept.group1, half) == pytest.approx(0.55, abs=1e-15)
 
 
 def test_accepted_mean_zero_mass_raises():
@@ -249,6 +251,71 @@ def test_stream_seed_is_stable_and_label_sensitive():
     assert stream_seed(7, "env-groups") != stream_seed(7, "env-values")
     assert stream_seed(7, "env-groups") != stream_seed(8, "env-groups")
     assert 0 <= stream_seed(0, "x") < 2 ** 63
+
+
+# ---------------------------------------------------------------------------
+# the draw rule
+# ---------------------------------------------------------------------------
+
+# Group 1 has zero weights between positive ones.  Group 2 has a zero first
+# and a zero top weight, and its running sums round to 1 - 2**-52, below the
+# largest draw of random(), 1 - 2**-53.
+EDGE_WEIGHTS = ([0.25, 0.0, 0.5, 0.0, 0.0, 0.25, 0.0],
+                [0.0, 0.2, 0.48, 0.18, 0.08, 0.06, 0.0])
+EDGE_POLICY = PolicyPair.from_weights(*EDGE_WEIGHTS)
+TOP_DRAW = 1.0 - 2.0**-53
+
+
+def test_sampling_tables_are_one_from_the_last_positive_weight():
+    cum1, cum2 = cumulative_weights(EDGE_POLICY)
+    assert cum1 == [0.25, 0.25, 0.75, 0.75, 0.75, 1.0, 1.0]
+    running = list(accumulate(EDGE_WEIGHTS[1]))
+    assert running[-1] == 1.0 - 2.0**-52 < TOP_DRAW
+    assert cum2 == running[:5] + [1.0, 1.0]
+    assert all(type(c) is float for c in cum1 + cum2)
+
+
+@pytest.mark.parametrize("group,u,want", [
+    (2, 0.0, 1),        # a zero first weight takes no draw, not even 0.0
+    (1, 0.0, 0),
+    (2, 0.2, 2),        # a draw on a sum goes to the next price ...
+    (1, 0.25, 2),       # ... past the zero weights after it
+    (1, 0.75, 5),
+    (2, TOP_DRAW, 5),   # above a last sum rounded below 1: not the zero top
+    (1, TOP_DRAW, 5),
+])
+def test_the_draw_rule_posts_no_zero_weight_price(group, u, want):
+    cums = cumulative_weights(EDGE_POLICY)
+    assert bisect_right(cums[group - 1], u) == want
+    assert draw_prices(cums, np.array([group]), np.array([u])).tolist() == [want]
+
+
+def test_block_draws_pick_the_single_draws_prices():
+    """Every sum, its neighbours, 0.0 and the top draw, in both groups: the
+    block count is bisect_right's index and lands on a positive weight."""
+    cums = cumulative_weights(EDGE_POLICY)
+    sums = [c for w in EDGE_WEIGHTS for c in accumulate(w)]
+    draws = sorted({0.0, TOP_DRAW, 0.1, 0.9} | {x for c in sums if c < 1.0 for x in (
+        c, np.nextafter(c, 0.0), np.nextafter(c, 1.0))})
+    u = np.array(draws * 2)
+    groups = np.repeat([1, 2], len(draws))
+    idx = draw_prices(cums, groups, u)
+    assert idx.dtype == np.intp
+    assert idx.tolist() == [bisect_right(cums[g - 1], x) for g, x in zip(groups, u.tolist())]
+    assert all(EDGE_WEIGHTS[g - 1][i] > 0.0 for g, i in zip(groups, idx))
+    assert set(idx[groups == 1]) == {0, 2, 5} and set(idx[groups == 2]) == {1, 2, 3, 4, 5}
+
+
+@given(st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.1, 0.3, 1.0, 7.0]), min_size=1,
+                max_size=8).filter(any),
+       st.lists(st.floats(0.0, TOP_DRAW), min_size=1, max_size=20))
+def test_draws_never_post_a_zero_weight_price(raw, draws):
+    weights = np.array(raw) / sum(raw)
+    cums = cumulative_weights(PolicyPair.from_weights(weights, weights))
+    u = np.array(draws + [0.0, TOP_DRAW])
+    idx = draw_prices(cums, np.ones(u.size, dtype=int), u)
+    assert idx.tolist() == [bisect_right(cums[0], x) for x in u.tolist()]
+    assert np.all(weights[idx] > 0.0)
 
 
 # ---------------------------------------------------------------------------

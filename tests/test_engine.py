@@ -2,7 +2,7 @@
 agent's batch protocol, and byte-identical output against the per-round loop."""
 
 import random
-from bisect import bisect_left
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,13 +16,16 @@ from fairprice import (
     FpaConfig,
     MarketConfig,
     OracleConfig,
+    PolicyPair,
     PriceGrid,
+    baseline_agent,
     example1_market,
+    example_eps_market,
     run_episode,
     write_summary_json,
     write_trace_csv,
 )
-from fairprice.core import draw_block
+from fairprice.core import cumulative_weights, draw_block
 from fairprice.fpa import ProtocolError, warmup_length
 
 R_STAR = 74.0 / 145.0
@@ -124,24 +127,31 @@ def test_batch_protocol_is_enforced():
     assert agent.t == 3 and agent.batch_rounds() == agent.tau0 - 3
 
 
-def test_batch_draws_pick_bisect_lefts_index(monkeypatch):
-    """propose_batch counts the cumulative weights below each draw; that is
-    bisect_left's index, as propose_price finds it, including at zero-weight
-    prices (repeated sums), draws exactly on a sum and a last sum short of
-    1 by rounding."""
-    cums = ([0.25, 0.25, 0.75], [0.0, 0.5, 1.0 - 2.0**-52])
-    draws = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-52, 1.0 - 2.0**-53,
-                      np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0),
-                      np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.1, 0.9])
-    draws, groups = np.r_[draws, draws], np.repeat([1, 2], draws.size)
+def test_batch_draws_pick_bisect_rights_index(monkeypatch):
+    """propose_batch and propose_price pick the same price for each draw,
+    bisect_right's index in the policy's sampling table, and never a
+    zero-weight one: not at a draw of 0.0 with a zero first weight, a draw
+    exactly on a sum, or a draw above a last sum short of 1 by rounding."""
+    short = 0.5 - 2.0**-52
+    policy = PolicyPair.from_weights([0.0, 0.25, 0.75], [0.5, short, 0.0])
     agent = _agent(2000)
-    agent._cums = cums
+    agent._cums = cums = cumulative_weights(policy)
+    assert cums == ([0.0, 0.25, 1.0], [0.5, 1.0, 1.0]) and 0.5 + short < 1.0 - 2.0**-53
+    draws = [0.0, 0.25, 0.5, 0.5 + short, 1.0 - 2.0**-53, np.nextafter(0.25, 0.0),
+             np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+             0.1, 0.9]
+    draws, groups = np.array(draws * 2), np.repeat([1, 2], len(draws))
     monkeypatch.setattr(fairprice.fpa, "draw_block", lambda rng, n: draws[:n])
     idx = agent.propose_batch(groups)
-    want = [min(bisect_left(cums[g - 1], u), agent.d - 1) for g, u in zip(groups, draws)]
+    want = [bisect_right(cums[g - 1], u) for g, u in zip(groups, draws)]
     assert idx.tolist() == want
     assert idx.dtype == np.intp
-    assert set(want) == {0, 1, 2}
+    assert all(policy.weights(g)[i] > 0.0 for g, i in zip(groups, want))
+    agent._pending_batch = None
+    for g, u, i in zip(groups, draws.tolist(), want):
+        monkeypatch.setattr(agent.rng, "random", lambda: u)
+        assert agent.propose_price(int(g)) == i
+        agent._pending = None
 
 
 def test_batches_and_single_rounds_interleave():
@@ -177,27 +187,18 @@ def test_batches_and_single_rounds_interleave():
 # ---------------------------------------------------------------------------
 
 class _RoundByRound:
-    """Forwards the per-round protocol only, so run_episode takes its
-    reference loop."""
+    """Forwards the per-round protocol only (and ``epoch`` and ``meta``, when
+    the agent has them), so run_episode takes its reference loop."""
+
+    _FORWARDED = ("propose_price", "observe", "current_policy", "epoch", "meta")
 
     def __init__(self, agent):
         self._agent = agent
 
-    def propose_price(self, group):
-        return self._agent.propose_price(group)
-
-    def observe(self, group, price_index, accepted):
-        self._agent.observe(group, price_index, accepted)
-
-    def current_policy(self):
-        return self._agent.current_policy()
-
-    @property
-    def epoch(self):
-        return self._agent.epoch
-
-    def meta(self):
-        return self._agent.meta()
+    def __getattr__(self, name):
+        if name not in self._FORWARDED:
+            raise AttributeError(name)
+        return getattr(self._agent, name)
 
 
 def _outputs(tmp_path, name, agent, market, horizon, seed, record_every):
@@ -250,6 +251,26 @@ def test_engine_matches_the_loop_in_theory_mode(tmp_path):
 def test_engine_matches_the_loop_on_a_shorter_run(tmp_path):
     agent = _assert_same_bytes(tmp_path, 3000, 1, agent_horizon=10_000, seed=4)
     assert agent.t == 3000 and agent.stage == "epochs" and agent.ledger
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("eps", [0.0, 0.03])
+@pytest.mark.parametrize("kind", ["best_fixed", "group_oracle", "fair_oracle"])
+def test_fixed_policies_play_the_loops_bytes_in_blocks(tmp_path, monkeypatch, kind, eps,
+                                                       record_every):
+    """Blocks of 50 rounds (the engine's cap, lowered) against the per-round
+    loop, with the agent's draws checked too."""
+    monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", 50)
+    market = example_eps_market(eps)
+    batched = baseline_agent(kind, market, seed=5)
+    reference = baseline_agent(kind, market, seed=5)
+    assert callable(batched.propose_batch)
+    got = _outputs(tmp_path, "batched", batched, market, 2013, 5, record_every)
+    want = _outputs(tmp_path, "rounds", _RoundByRound(reference), market, 2013, 5,
+                    record_every)
+    assert got[0] == want[0], "trace CSV differs"
+    assert got[1] == want[1], "summary JSON differs"
+    assert batched.propose_price(1) == reference.propose_price(1)
 
 
 def test_engine_refuses_rounds_past_the_agents_horizon():

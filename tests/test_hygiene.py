@@ -1,5 +1,6 @@
 """Source hygiene that needs no linter: every module-level import is used,
-every module-level private name is referenced somewhere in the package, and
+every module-level private name is referenced somewhere in the package,
+every public function and class is read in the package or exported, and
 no cache outlives a call (no module-level dict, list or set but
 ``__all__``, no ``functools`` cache)."""
 
@@ -61,11 +62,8 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """``module:name`` for each module-level private name that no module of
-    ``sources`` (name -> source) reads, as a name, an attribute or an
-    import."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def _read_names(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name the modules read, as a name, an attribute or an import."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -75,8 +73,29 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read |= {alias.name for alias in node.names}
+    return read
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level private name that no module of
+    ``sources`` (name -> source) reads, as a name, an attribute or an
+    import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names(trees)
     return [f"{name}:{private}" for name, tree in sorted(trees.items())
             for private in _private_definitions(tree) if private not in read]
+
+
+def dead_public_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level public function or class that
+    no module of ``sources`` reads.  The package's ``__init__`` imports what
+    it exports, so an exported name counts as read."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = _read_names(trees)
+    return [f"{name}:{node.name}" for name, tree in sorted(trees.items())
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
 
 
 def test_the_check_catches_an_unreferenced_private_name():
@@ -89,6 +108,20 @@ def test_the_check_catches_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def test_the_check_catches_a_dead_public_name():
+    sources = {"a": "def helper(x):\n    return x\ndef exported():\n    pass\n"
+                    "def stale(x):\n    return -x\nclass Old:\n    pass\n"
+                    "def used():\n    return helper(1)\nLIMIT = 3\n",
+               "b": "import a\nprint(a.used())\n",
+               "__init__": "from .a import exported\n__all__ = ['exported']\n"}
+    assert dead_public_names(sources) == ["a:stale", "a:Old"]
+
+
+def test_every_public_name_is_read_or_exported():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert dead_public_names(sources) == []
 
 
 _CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

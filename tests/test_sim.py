@@ -357,9 +357,24 @@ PER_ROUND_DIGESTS = {
     ("fair_oracle", 7): ("f5ad3a3ea32fd602fd80adfb411faee22acc5d7bc9a5e6092713f13b705cde89",
                          "cc335e55cae6b802fec9362601c931d54c3fcac1e1bc892fb0f7aefab0da73b6"),
 }
+# The same for the two baselines that drew nothing while each was its own
+# class, recorded at commit 7ae7576 on the per-round path.  Every fixed
+# baseline now samples its policy on the block engine; fair_oracle's
+# digests above hold it to the per-round path's bytes.
+FIXED_PRICE_DIGESTS = {
+    ("best_fixed", 1): ("eb2afd52ea2d357c4a39fe2a9273713c726ce960940aac38099bbf5eb010bb56",
+                        "6d62a2c601374fa110def8e9e9d0e1a082dc9e850fe99d301b97dfbf64020a42"),
+    ("best_fixed", 7): ("bdcf51aea25723cda4f938a40321ca343bee811ea701b799c432d936e46558ed",
+                        "6d62a2c601374fa110def8e9e9d0e1a082dc9e850fe99d301b97dfbf64020a42"),
+    ("group_oracle", 1): ("82bc7d89bafe47223b32fde9026688336eca0ebaa7088bc58d337b9dbf4278bb",
+                          "d69b62f15b2f63055a03c08d411ac42f4505abdeb1dc6414d08aa60ae882070a"),
+    ("group_oracle", 7): ("745e8b00e7d270f5fb5371fba802664491ce026ca9a1693bd5ef04d25b8b1129",
+                          "d69b62f15b2f63055a03c08d411ac42f4505abdeb1dc6414d08aa60ae882070a"),
+}
+GOLDEN_EPISODES = {**PER_ROUND_DIGESTS, **FIXED_PRICE_DIGESTS}
 
 
-@pytest.mark.parametrize("kind,record_every", sorted(PER_ROUND_DIGESTS))
+@pytest.mark.parametrize("kind,record_every", sorted(GOLDEN_EPISODES))
 def test_per_round_episode_bytes_match_the_golden_digests(tmp_path, example_market,
                                                           example_closed_form, kind,
                                                           record_every):
@@ -368,7 +383,7 @@ def test_per_round_episode_bytes_match_the_golden_digests(tmp_path, example_mark
                         oracle_revenue=R_STAR)
     write_trace_csv(trace, str(tmp_path / "trace.csv"))
     write_summary_json(trace.summary(), str(tmp_path / "summary.json"))
-    want = PER_ROUND_DIGESTS[kind, record_every]
+    want = GOLDEN_EPISODES[kind, record_every]
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == want[0], \
         "trace CSV differs"
     assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == want[1], \
