@@ -15,12 +15,13 @@ basis replaces any grid of anchors.
 Candidates are screened against every snapshot of an elimination ledger
 (fairness band and revenue floor).  Floors are LP rows.  Bands compare
 accepted means under each snapshot's own estimates, not linear in
-``(pi1, pi2)`` jointly: on three prices, a dense ``(v_s, alpha)`` scan of
+``(pi1, pi2)`` jointly: on three prices, a ``(v_s, alpha)`` grid scan of
 closed-form solutions folds them exactly (fixing pi1 per cell makes them
-linear in pi2); on other grids the walk keeps the LP optimum at each
-``v_s`` only where it clears every band, exactly along ``v_s``, so a ``v_s``
-is lost when its optimum fails an older band even if another policy there
-would pass.  That is the approximation that remains.
+linear in pi2), on the cells of one premium interval per ``v_s`` that
+group 1's nonnegativity admits; on other grids the walk keeps the LP
+optimum at each ``v_s`` only where it clears every band, exactly along
+``v_s``, so a ``v_s`` is lost when its optimum fails an older band even if
+another policy there would pass.  That is the approximation that remains.
 
 Each constraint is built once, at its stated value; ``MEMBER_TOL`` is slack
 only where membership is tested (:func:`member`, the walk's band filter,
@@ -232,22 +233,47 @@ def _adjugate_cols(v: np.ndarray, z: np.ndarray):
     return p, s, det
 
 
-def _pin_group(v: np.ndarray, f: np.ndarray, vs_vals: np.ndarray, vr: np.ndarray):
+def _pin_cells(v, f, vs_vals, lo, span, axis):
     """Group weights with accepted mean pinned to each vs, affine in the
-    proposed mean vr: pi = a + vr * b with rows a, b of shape (nvs, 3).
-    Returns (a, b, feasible) with feasible over the whole grid vr of shape
-    (nvs, na); singular rows are nan and never feasible."""
+    proposed mean vr: pi = a + vr * b, rows a, b of shape (nvs, 3) (nan where
+    singular); and, as _Cells, the cells of vr[r, j] = vs[r] + (lo[r] +
+    axis[j] * span[r]) (span >= 0, axis ascending) whose weights all pass >=
+    -_NONNEG_TOL.  vr and every rounding are monotone in j, so a row admits
+    one interval [first, end): guessed from the real crossings, then stepped
+    while the test, evaluated beside each end as on the whole grid, says so."""
     p, s, det = _adjugate_cols(v, (v[None, :] - vs_vals[:, None]) * f[None, :])
     det = np.where(np.abs(det) > _DET_TOL, det, np.nan)[:, None]
     a, b = p / det, s / det
-    # One buffer for the three weights: a fresh grid-sized temporary each
-    # time can page-fault in again once the allocator has trimmed the heap.
-    feas, weight = np.ones(vr.shape, dtype=bool), np.empty(vr.shape)
-    for k in range(3):
-        np.multiply(vr, b[:, k, None], out=weight)
-        weight += a[:, k, None]
-        feas &= weight >= -_NONNEG_TOL
-    return a, b, feas
+    # Weights lead and rows run along the last axis, the long one.
+    n, ak, bk = axis.size, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    up = bk > 0.0
+
+    def passes(j):  # each weight's test at cells (r, j[i, r]): shape (3,) + j.shape
+        vr = vs_vals + (lo + axis.take(j, mode="clip") * span)
+        return vr * bk[:, None] + ak[:, None] >= -_NONNEG_TOL
+
+    # A rising weight passes from its crossing on, another up to it; a flat or
+    # nan one, or any on a zero-span row, passes at every j or at none.
+    t = ((-_NONNEG_TOL - ak) / bk - vs_vals - lo) / span
+    decided = ~(up | (bk < 0.0)) | (span == 0.0)
+    if decided.any():
+        col0 = passes(np.zeros((1, span.size), int))[:, 0]
+        t[decided] = np.where(col0 != up, np.inf, -np.inf)[decided]
+    first = np.searchsorted(axis, np.where(up, t, -np.inf), "left").max(axis=0)
+    end = np.searchsorted(axis, np.where(up, np.inf, t), "right").min(axis=0)
+    while True:  # first: least j where all rising weights pass; end: where another fails
+        ok = passes(np.stack([first - 1, first, end - 1, end]))
+        rising, other = np.all(ok | ~up[:, None], axis=0), np.all(ok | up[:, None], axis=0)
+        step_first = ((first < n) & ~rising[1]).astype(int) - ((first > 0) & rising[0])
+        step_end = ((end < n) & other[3]).astype(int) - ((end > 0) & ~other[2])
+        if not (step_first.any() or step_end.any()):
+            break
+        first += step_first
+        end += step_end
+    count = np.maximum(end - first, 0)
+    rows = np.repeat(np.arange(vs_vals.size), count)
+    j = np.arange(rows.size) + (first - (np.cumsum(count) - count)).take(rows)
+    return a, b, _Cells(vs_vals.take(rows) + (lo.take(rows) + axis.take(j) * span.take(rows)), rows)
 
 
 def _pin_dot(a: np.ndarray, b: np.ndarray, vr: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
@@ -371,20 +397,18 @@ def _row_from_weights(v, f1, f2, q, value, vs, pi1, pi2, fixed=False) -> _Row:
     return _Row(value, revenue, ParamPoint(vs, float(v @ pi1) - vs, m2 - vs), pi1, pi2, fixed)
 
 
-def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs) -> list[Optional[_Row]]:
-    """Best row of a (vs, alpha) grid, alpha of shape (nvs, na), for each
-    objective, or None.  Group 1's pin is tested on the whole grid; only the
-    cells it admits are carried on, flat in row-major order with their v_s
-    row index, and the group-2 segment drops each cell as soon as a fold
-    cuts it.  Every objective runs on the survivors alone, still in
-    row-major order, so argmax keeps the grid's first-maximum tie rule.
-    Weights enter only through products with fixed vectors (see _pin_dot);
-    the objective-free state is built once and freed on return."""
-    vr = vs_vals[:, None] + alpha
+def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, lo, span, axis,
+             specs) -> list[Optional[_Row]]:
+    """Best row of the grid alpha[r, j] = lo[r] + axis[j] * span[r] (span >= 0,
+    axis ascending) over vs_vals for each objective, or None.  Only the cells
+    group 1's pin admits are built, one premium interval per v_s row
+    (_pin_cells), and the group-2 segment drops each cell as soon as a fold
+    cuts it.  Every objective runs on the survivors alone, still in row-major
+    order, so argmax keeps the grid's first-maximum tie rule.  Weights enter
+    only through products with fixed vectors (_pin_dot); the objective-free
+    state is built once and freed on return."""
     with np.errstate(all="ignore"):
-        a1, b1, live = _pin_group(v, f1, vs_vals, vr)
-        cells = _Cells(vr[live], np.nonzero(live)[0])
-        del vr, live  # only the admitted cells are needed from here on
+        a1, b1, cells = _pin_cells(v, f1, vs_vals, lo, span, axis)
         a2, b2, n_dir = _group2_segment(v, q, f2, vs_vals, cells, delta, entries, a1, b1)
         if cells.rows.size == 0:
             return [None] * len(specs)
@@ -412,17 +436,20 @@ def _scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs) -> list[Option
 
 def _search_d3(v, f1, f2, q, delta, entries, specs, cfg: OracleConfig) -> list[Optional[_Row]]:
     """Full scan + windowed refinement, one row per objective.  The full scan
-    spans each vs row's premium range, reaching below zero when the anchor
-    curve inverts.  Objectives whose rows sit at the same (v_s, alpha) share
-    their refine window."""
+    spans each vs row's premium range on one axis of fractions, reaching
+    below zero when the anchor curve inverts; a refine window is one premium
+    axis shared by its rows.  Objectives whose rows sit at the same
+    (v_s, alpha) share their refine window."""
     vs0 = np.unique(np.concatenate([np.linspace(v[0], v[-1], cfg.grid_steps_vs), v]))
     lo = -(vs0 - v[0]) if np.any(np.diff(f1) > MONOTONE_TOL) else np.zeros_like(vs0)
     fracs = np.linspace(0.0, 1.0, cfg.grid_steps_alpha)
-    alpha = lo[:, None] + fracs[None, :] * (v[-1] - vs0 - lo)[:, None]
-    rows = _scan_d3(v, f1, f2, q, delta, entries, vs0, alpha, specs)
+    rows = _scan_d3(v, f1, f2, q, delta, entries, vs0, lo, v[-1] - vs0 - lo, fracs, specs)
     d_vs = (v[-1] - v[0]) / (cfg.grid_steps_vs - 1)
     d_al = (v[-1] - v[0]) / (cfg.grid_steps_alpha - 1)
     shrink = 2.0 * _REFINE_WINDOW / (_REFINE_STEPS - 1)
+    # 0.0 + axis * 1.0 is the axis bit for bit, bar the sign of a zero, which
+    # cannot change v_s + alpha.
+    win_lo, win_span = np.zeros(_REFINE_STEPS), np.ones(_REFINE_STEPS)
     for _ in range(cfg.refine_iters - 1):
         w_vs, w_al = _REFINE_WINDOW * d_vs, _REFINE_WINDOW * d_al
         windows: dict[tuple, list[int]] = {}
@@ -432,8 +459,7 @@ def _search_d3(v, f1, f2, q, delta, entries, specs, cfg: OracleConfig) -> list[O
         for (vs, al), ks in windows.items():
             vs_win = np.linspace(max(v[0], vs - w_vs), min(v[-1], vs + w_vs), _REFINE_STEPS)
             al_win = np.linspace(al - w_al, al + w_al, _REFINE_STEPS)
-            found = _scan_d3(v, f1, f2, q, delta, entries, vs_win,
-                             np.broadcast_to(al_win, (_REFINE_STEPS, _REFINE_STEPS)),
+            found = _scan_d3(v, f1, f2, q, delta, entries, vs_win, win_lo, win_span, al_win,
                              [specs[k] for k in ks])
             for k, better in zip(ks, found):
                 if better is not None and better.value >= rows[k].value:

@@ -465,6 +465,8 @@ class FixedPolicyAgent:
         self._cums = cumulative_weights(policy)
 
     def propose_price(self, group: int) -> int:
+        if group not in (1, 2):
+            raise ValueError("group must be 1 or 2")
         return bisect_right(self._cums[group - 1], self._rng.random())
 
     def observe(self, group: int, price_index: int, accepted: bool) -> None:
@@ -474,6 +476,8 @@ class FixedPolicyAgent:
         return MAX_BLOCK_ROUNDS
 
     def propose_batch(self, groups: np.ndarray) -> np.ndarray:
+        if not np.all((groups == 1) | (groups == 2)):
+            raise ValueError("group must be 1 or 2")
         return draw_prices(self._cums, groups, draw_block(self._rng, groups.size))
 
     def observe_batch(self, groups: np.ndarray, idx: np.ndarray,

@@ -721,28 +721,50 @@ def test_probe_policy_flags_an_empty_surviving_set(example_market):
     assert res.policy is None
 
 
-def test_scan_has_no_row_when_the_pin_admits_no_cell(example_market):
-    """A premium window wholly above v_d - v_s puts the proposed mean above
-    the top price, so group 1's pin admits no cell and no objective has a
-    row."""
-    v, f, q = example_market.grid.prices, example_market.accept, example_market.q
+def _no_cell_grid(v):
+    """A premium window wholly above v_d - v_s: the proposed mean sits above
+    the top price, so group 1's pin admits no cell."""
     vs_vals = np.linspace(v[0], v[-1], 7)
-    alpha = (v[-1] - vs_vals)[:, None] + np.linspace(0.01, 0.2, 5)[None, :]
+    return vs_vals, v[-1] - vs_vals, np.ones(7), np.linspace(0.01, 0.2, 5)
+
+
+def test_scan_has_no_row_when_the_pin_admits_no_cell(example_market):
+    """With no cell admitted, no objective has a row, at either band."""
+    v, f, q = example_market.grid.prices, example_market.accept, example_market.q
     specs = [oracle._Objective(c) for c in np.eye(6)]
     specs.append(oracle._Objective(np.r_[q * v * f.group1, (1.0 - q) * v * f.group2]))
     entries = [LedgerEntry(1, f, 0.02, 0.4)]
     for delta in (0.0, 0.02):
-        assert oracle._scan_d3(v, f.group1, f.group2, q, delta, entries, vs_vals, alpha,
+        assert oracle._scan_d3(v, f.group1, f.group2, q, delta, entries, *_no_cell_grid(v),
                                specs) == [None] * len(specs)
 
 
-def _dense_scan_d3(v, f1, f2, q, delta, entries, vs_vals, alpha, specs):
+def _pin_group(v, f, vs_vals, vr):
+    """Group 1's pin tested on the whole grid vr of shape (nvs, na): pi = a +
+    vr * b with rows a, b of shape (nvs, 3), and the mask of cells whose
+    three weights are all >= -_NONNEG_TOL; singular rows are nan and never
+    pass.  The reference for the scan's per-row premium intervals."""
+    p, s, det = oracle._adjugate_cols(v, (v[None, :] - vs_vals[:, None]) * f[None, :])
+    det = np.where(np.abs(det) > oracle._DET_TOL, det, np.nan)[:, None]
+    a, b = p / det, s / det
+    feas = np.ones(vr.shape, dtype=bool)
+    for k in range(3):
+        feas &= vr * b[:, k, None] + a[:, k, None] >= -oracle._NONNEG_TOL
+    return a, b, feas
+
+
+def _dense_grid(vs_vals, lo, span, axis):
+    """The scan's proposed means vr on the whole grid, as the scan rounds them."""
+    return vs_vals[:, None] + (lo[:, None] + axis[None, :] * span[:, None])
+
+
+def _dense_scan_d3(v, f1, f2, q, delta, entries, vs_vals, lo, span, axis, specs):
     """The d = 3 scan as a whole-grid mask fold: every row on every cell, no
     cell dropped, slopes broadcast to the grid.  The compacting scan must
     return the same bits."""
-    vr = vs_vals[:, None] + alpha
+    vr = _dense_grid(vs_vals, lo, span, axis)
     with np.errstate(all="ignore"):
-        a1, b1, feas = oracle._pin_group(v, f1, vs_vals, vr)
+        a1, b1, feas = _pin_group(v, f1, vs_vals, vr)
         n_dir = np.array([v[2] - v[1], v[0] - v[2], v[1] - v[0]])
         p, s, det = oracle._adjugate_cols(v, n_dir)
         a2, b2 = (np.broadcast_to(m / det, (vs_vals.size, 3)) for m in (p, s))
@@ -799,9 +821,8 @@ def _assert_rows_identical(got, want):
             assert np.array_equal(row.pi1, ref.pi1) and np.array_equal(row.pi2, ref.pi2)
 
 
-def test_scan_matches_the_dense_fold_bit_for_bit(example_market, monkeypatch):
-    """Every scan of a seeded T = 1e5 example run, replayed against the
-    whole-grid fold: dropping cells as the folds cut them changes no bit."""
+def _recording_scans(monkeypatch):
+    """Route every scan through a recorder; returns (calls, the real scan)."""
     calls, scan = [], oracle._scan_d3
 
     def recorded(*args):
@@ -809,19 +830,111 @@ def test_scan_matches_the_dense_fold_bit_for_bit(example_market, monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(oracle, "_scan_d3", recorded)
-    horizon = 100_000
-    agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
-                               horizon=horizon, seed=1))
-    run_episode(agent, example_market, horizon, seed=1, record_every=horizon)
-    assert len(calls) >= 20 and max(len(args[5]) for args in calls) >= 5
+    return calls, scan
+
+
+def test_scan_matches_the_dense_fold_bit_for_bit(example_market, monkeypatch):
+    """Every scan of seeded example runs (T = 1e5 on seed 1, T = 1e4 and 1e6
+    on seed 0), replayed against the whole-grid fold: building only the
+    pin's intervals and dropping cells as the folds cut them changes no bit."""
+    calls, scan = _recording_scans(monkeypatch)
+    for horizon, seed, n_scans, depth in ((100_000, 1, 20, 5), (10_000, 0, 20, 4),
+                                          (1_000_000, 0, 40, 7)):
+        calls.clear()
+        agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
+                                   horizon=horizon, seed=seed))
+        run_episode(agent, example_market, horizon, seed=seed, record_every=horizon)
+        assert len(calls) >= n_scans and max(len(args[5]) for args in calls) >= depth
+        for args in calls:
+            _assert_rows_identical(scan(*args), _dense_scan_d3(*args))
+
+
+def test_scan_matches_the_dense_fold_at_negative_premiums(monkeypatch):
+    """The inverted estimates of test_optimizer_reaches_negative_premiums_on_estimates
+    under one snapshot: the full scans reach below a zero premium, and the
+    searches' every scan is replayed against the whole-grid fold."""
+    grid = PriceGrid(np.array([0.625, 0.7, 1.0]))
+    fhat = AcceptanceModel.from_estimates([0.23, 0.88, 0.36], [0.68, 0.11, 0.70],
+                                          f_min=0.05)
+    ledger = EliminationLedger(grid, 0.77)
+    ledger.append(LedgerEntry(1, fhat, 0.03, 0.5))
+    calls, scan = _recording_scans(monkeypatch)
+    res = empirical_optimizer(fhat, ledger, 0.0)
+    assert not res.ledger_infeasible and res.point.alpha < 0.0
+    max_probability_policies([(i, g) for i in range(3) for g in (1, 2)], fhat, ledger, 0.0)
+    assert any(np.any(args[7] < 0.0) for args in calls)
     for args in calls:
         _assert_rows_identical(scan(*args), _dense_scan_d3(*args))
 
 
+def _assert_pin_cells_match(v, f, vs_vals, lo, span, axis):
+    """The per-row premium intervals admit exactly the dense mask's cells,
+    flat in row-major order, with the same proposed means and pin rows."""
+    vr = _dense_grid(vs_vals, lo, span, axis)
+    with np.errstate(all="ignore"):
+        a, b, feas = _pin_group(v, f, vs_vals, vr)
+        got_a, got_b, cells = oracle._pin_cells(v, f, vs_vals, lo, span, axis)
+    assert np.array_equal(cells.rows, np.nonzero(feas)[0])
+    assert cells.vr.tobytes() == vr[feas].tobytes()
+    assert np.array_equal(got_a, a, equal_nan=True) and np.array_equal(got_b, b, equal_nan=True)
+    return int(feas.sum())
+
+
+def test_pin_intervals_match_the_dense_mask_on_fixed_grids(example_market):
+    v, f = example_market.grid.prices, example_market.accept.group1
+    assert _assert_pin_cells_match(v, f, *_scan_grid(v)) > 0
+    assert _assert_pin_cells_match(v, f, *_scan_grid(v, 11, 11)) > 0
+    assert _assert_pin_cells_match(v, f, *_no_cell_grid(v)) == 0
+
+
+@st.composite
+def pin_grids(draw):
+    """A d = 3 price grid, a group-1 curve (monotone or not), and a scan grid
+    (vs_vals, lo, span, axis): the full scan's (rows at every grid price, a
+    zero-span v_s = v_d row on monotone curves, negative premiums on others),
+    a refine window's with rows at the grid prices appended, or a window
+    whose axis holds some rows' exact weight crossings, nudged by an ulp."""
+    market = draw(random_markets(d=3))
+    v = market.grid.prices
+    if draw(st.booleans()):
+        f = market.accept.group1
+    else:
+        f = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))
+    kind = draw(st.sampled_from(["full", "window", "crossings"]))
+    if kind == "full":
+        steps = draw(st.integers(2, 40))
+        vs_vals = np.unique(np.concatenate([np.linspace(v[0], v[-1], steps), v]))
+        lo = -(vs_vals - v[0]) if np.any(np.diff(f) > 0.0) else np.zeros_like(vs_vals)
+        axis = np.linspace(0.0, 1.0, draw(st.integers(2, 30)))
+        return v, f, vs_vals, lo, v[-1] - vs_vals - lo, axis
+    vs = draw(st.floats(v[0], v[-1]))
+    width = draw(st.floats(1e-4, 0.3))
+    rows = draw(st.integers(2, 25))
+    vs_vals = np.r_[np.linspace(max(v[0], vs - width), min(v[-1], vs + width), rows), v]
+    al = draw(st.floats(-0.5, 0.5))
+    axis = np.linspace(al - width, al + width, draw(st.integers(2, 30)))
+    if kind == "crossings":
+        with np.errstate(all="ignore"):
+            a, b, _ = _pin_group(v, f, vs_vals, vs_vals[:, None])
+            cross = ((-oracle._NONNEG_TOL - a) / b - vs_vals[:, None]).ravel()
+        cross = cross[np.isfinite(cross) & (np.abs(cross) < 1.0)]
+        nudge = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        axis = np.unique(np.r_[axis, cross + nudge * np.spacing(cross)])
+    return v, f, vs_vals, np.zeros(vs_vals.size), np.ones(vs_vals.size), axis
+
+
+@settings(max_examples=300)
+@given(pin_grids())
+def test_pin_intervals_match_the_dense_mask(grid):
+    """One interval of premium indices per v_s row, found from the real
+    crossings and stepped by the dense test itself, admits exactly the cells
+    of the whole-grid pin mask, in the same order."""
+    _assert_pin_cells_match(*grid)
+
+
 def _scan_grid(v, steps_vs=60, steps_alpha=20):
     vs_vals = np.linspace(v[0], v[-1], steps_vs)
-    alpha = np.linspace(0.0, 1.0, steps_alpha)[None, :] * (v[-1] - vs_vals)[:, None]
-    return vs_vals, alpha
+    return vs_vals, np.zeros(steps_vs), v[-1] - vs_vals, np.linspace(0.0, 1.0, steps_alpha)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.02])
@@ -835,12 +948,12 @@ def test_scan_matches_the_dense_fold_when_a_snapshot_cuts_every_cell(example_mar
     cut_all = [LedgerEntry(1, f, 0.02, 0.99), LedgerEntry(2, f, 0.02, 0.4)]
     # The 11 x 11 grid has cells whose segment ends cross by rounding alone,
     # kept by the _NONNEG_TOL room the folds and the compaction share.
-    for vs_vals, alpha in (_scan_grid(v), _scan_grid(v, 11, 11)):
-        args = (v, f.group1, f.group2, q, delta, cut_all, vs_vals, alpha, specs)
+    for grid in (_scan_grid(v), _scan_grid(v, 11, 11)):
+        args = (v, f.group1, f.group2, q, delta, cut_all, *grid, specs)
         assert oracle._scan_d3(*args) == [None] * len(specs) == _dense_scan_d3(*args)
         for entries in ([LedgerEntry(1, f, 0.02, 0.45)],
                         [LedgerEntry(1, f, 0.05, 0.3), LedgerEntry(2, f, 0.01, 0.48)]):
-            args = (v, f.group1, f.group2, q, delta, entries, vs_vals, alpha, specs)
+            args = (v, f.group1, f.group2, q, delta, entries, *grid, specs)
             got = oracle._scan_d3(*args)
             assert any(row is not None for row in got)
             _assert_rows_identical(got, _dense_scan_d3(*args))

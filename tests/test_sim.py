@@ -201,6 +201,21 @@ def test_ucb_baseline_is_group_blind(example_market):
     assert trace.cum_regret <= 800 * 3.0 / 290.0 + 40.0
 
 
+@pytest.mark.parametrize("kind", ["best_fixed", "group_oracle", "fair_oracle"])
+@pytest.mark.parametrize("group", [0, 3])
+def test_fixed_policies_reject_a_group_outside_1_and_2(example_market, kind, group):
+    """Neither protocol reads another group's table for a bad group, and a
+    rejected call draws nothing from the agent's stream."""
+    agent = baseline_agent(kind, example_market, seed=4)
+    with pytest.raises(ValueError, match="group must be 1 or 2"):
+        agent.propose_price(group)
+    with pytest.raises(ValueError, match="group must be 1 or 2"):
+        agent.propose_batch(np.array([1, group, 2]))
+    fresh = baseline_agent(kind, example_market, seed=4)
+    assert [agent.propose_price(g) for g in (1, 2) * 20] == [
+        fresh.propose_price(g) for g in (1, 2) * 20]
+
+
 def test_baseline_kinds_are_exhaustive(example_market):
     for kind in BASELINE_KINDS:
         agent = baseline_agent(kind, example_market)
