@@ -7,9 +7,12 @@ reproduced with direct calls using the configuration echoed into each output
 file.  Outputs are deterministic (no timestamps, sorted JSON keys, fixed
 float formatting), so identical invocations give byte-identical files.
 
-Configuration comes from an optional flat key/value file (``--config``) with
-the dotted keys of ``CONFIG_KEYS`` (any other key is an error, so a misspelt
-key cannot fall back to its default unnoticed), overridden by flags::
+Each config key is one row of ``SETTINGS``: the key, the dest of its flag,
+its type and its default (the agent's come from ``FpaConfig``).  A command
+reads the keys of its sections from the flag, else the optional flat
+key/value file (``--config``), else the default.  A file key outside
+``CONFIG_KEYS`` is an error, so a misspelt key cannot fall back to its
+default unnoticed::
 
     # experiment.cfg
     environment.preset = example-eps
@@ -41,8 +44,6 @@ import numpy as np
 from .core import MarketConfig, market_from_text, market_to_text
 from .fpa import (
     CONSTANT_MODES,
-    DEFAULT_ERROR_PROB,
-    DEFAULT_RELAXATION_L,
     DegenerateDemandError,
     FpaAgent,
     FpaConfig,
@@ -65,11 +66,6 @@ from .validation import run_all
 
 AGENT_KINDS = ("fpa",) + BASELINE_KINDS
 PRESETS = ("example1", "example-eps", "lowerbound")
-CONFIG_KEYS = ("environment.preset", "environment.eps", "environment.market_file",
-               "environment.lb_j", "environment.lb_d", "agent.kind", "agent.mode",
-               "agent.scale_factor", "agent.error_prob", "agent.relaxation_l",
-               "run.horizon", "run.seeds", "run.record_every", "output.dir",
-               "sweep.horizons", "sweep.seeds")
 
 
 # ---------------------------------------------------------------------------
@@ -97,32 +93,87 @@ def load_config_file(path: str) -> dict[str, str]:
 def parse_seed_spec(spec: str) -> list[int]:
     """Seed list from a count ('10'), a range ('3-7'), or a list ('0,2,5')."""
     spec = spec.strip()
-    if "," in spec:
-        seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
-    elif "-" in spec and not spec.startswith("-"):
-        lo, hi = spec.split("-", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
-    else:
-        seeds = list(range(int(spec)))
+    try:
+        if "," in spec:
+            seeds = [int(tok) for tok in spec.split(",") if tok.strip()]
+        elif "-" in spec and not spec.startswith("-"):
+            lo, hi = spec.split("-", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = list(range(int(spec)))
+    except ValueError as exc:
+        raise ValueError(f"seed spec {spec!r}: {exc}") from None
     if not seeds:
         raise ValueError(f"seed spec {spec!r} selects no seeds")
     return seeds
 
 
 def parse_horizons(spec: str) -> list[int]:
-    horizons = [int(tok) for tok in spec.split(",") if tok.strip()]
+    """Horizons from a comma-separated list of integers >= 1."""
+    try:
+        horizons = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValueError(f"horizons {spec!r}: {exc}") from None
     if any(h < 1 for h in horizons):
         raise ValueError(f"horizons must be >= 1, got {spec!r}")
     return horizons
 
 
-def _pick(cli_value, config: dict[str, str], key: str, default, cast):
-    """Resolve one setting: explicit flag > config file > default."""
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return cast(config[key])
-    return default
+# One row per config key: the key, the dest of its flag, the type that reads
+# a flag's or the config file's value, and the default.  A command reads the
+# keys of its sections (the part before the dot).
+SETTINGS = (
+    ("environment.preset", "preset", str, "example1"),
+    ("environment.eps", "eps", float, 0.0),
+    ("environment.market_file", "market", str, None),
+    ("environment.lb_j", "lb_j", int, 1),
+    ("environment.lb_d", "lb_d", int, 3),
+    ("agent.kind", "agent", str, "fpa"),
+    ("agent.mode", "mode", str, FpaConfig.constants_mode),
+    ("agent.scale_factor", "scale_factor", float, FpaConfig.scale_factor),
+    ("agent.error_prob", "epsilon", float, FpaConfig.error_prob),
+    ("agent.relaxation_l", "relaxation_l", float, FpaConfig.relaxation_l),
+    ("run.horizon", "horizon", int, None),          # run needs one
+    ("run.seeds", "seeds", parse_seed_spec, (0,)),  # the spec '1'
+    ("run.record_every", "record_every", int, None),  # horizon/10000
+    ("output.dir", "out", str, None),
+    ("sweep.horizons", "horizons", parse_horizons, ()),
+    ("sweep.seeds", "seeds", parse_seed_spec, ()),
+)
+CONFIG_KEYS = tuple(row[0] for row in SETTINGS)
+
+
+def resolve_settings(args, sections: Sequence[str]) -> dict:
+    """``{key: value}`` for each config key of ``sections`` (``"agent"``,
+    ``"run"``, ...): the flag, else the ``--config`` file, else the default.
+    A value its type cannot read, or an unknown preset, agent or mode,
+    raises ValueError; for a file's value the message names file and key."""
+    config = load_config_file(args.config) if args.config else {}
+    settings = {}
+    for key, dest, read, default in SETTINGS:
+        if key.split(".")[0] not in sections:
+            continue
+        if getattr(args, dest) is not None:
+            settings[key] = read(getattr(args, dest))
+        elif key in config:
+            try:
+                settings[key] = read(config[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
+        else:
+            settings[key] = default
+    if "environment" in sections:
+        preset = settings["environment.preset"]
+        if settings["environment.market_file"] is None and preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
+    if "agent" in sections:
+        if settings["agent.kind"] not in AGENT_KINDS:
+            raise ValueError(f"unknown agent {settings['agent.kind']!r}; "
+                             f"expected one of {AGENT_KINDS}")
+        if settings["agent.mode"] not in CONSTANT_MODES:
+            raise ValueError(f"unknown mode {settings['agent.mode']!r}; "
+                             f"expected one of {CONSTANT_MODES}")
+    return settings
 
 
 def _parse_emit(spec: str) -> set[str]:
@@ -134,64 +185,29 @@ def _parse_emit(spec: str) -> set[str]:
     return emit
 
 
-def _resolve_env(args, config: dict[str, str]) -> dict:
-    """Environment settings shared by every command that runs or solves."""
-    env = {
-        "preset": _pick(args.preset, config, "environment.preset", "example1", str),
-        "eps": _pick(args.eps, config, "environment.eps", 0.0, float),
-        "market_file": _pick(getattr(args, "market", None), config,
-                             "environment.market_file", None, str),
-        "lb_j": _pick(getattr(args, "lb_j", None), config, "environment.lb_j", 1, int),
-        "lb_d": _pick(getattr(args, "lb_d", None), config, "environment.lb_d", 3, int),
-    }
-    if env["market_file"] is None and env["preset"] not in PRESETS:
-        raise ValueError(f"unknown preset {env['preset']!r}; expected one of {PRESETS}")
-    return env
-
-
-def _build_market(env: dict, horizon: Optional[int] = None) -> MarketConfig:
-    if env["market_file"] is not None:
-        with open(env["market_file"], "r", encoding="utf-8") as fh:
+def _build_market(settings: dict, horizon: Optional[int] = None) -> MarketConfig:
+    if settings["environment.market_file"] is not None:
+        with open(settings["environment.market_file"], "r", encoding="utf-8") as fh:
             return market_from_text(fh.read())
-    if env["preset"] == "example1":
+    if settings["environment.preset"] == "example1":
         return example1_market()
-    if env["preset"] == "example-eps":
-        return example_eps_market(env["eps"])
+    if settings["environment.preset"] == "example-eps":
+        return example_eps_market(settings["environment.eps"])
     if horizon is None:
         raise ValueError("the lowerbound preset needs a horizon")
-    return lowerbound_family_market(env["lb_j"], env["lb_d"], horizon)
+    return lowerbound_family_market(settings["environment.lb_j"],
+                                    settings["environment.lb_d"], horizon)
 
 
-def _resolve_agent(args, config: dict[str, str]) -> dict:
-    agent = {
-        "kind": _pick(getattr(args, "agent", None), config, "agent.kind", "fpa", str),
-        "mode": _pick(args.mode, config, "agent.mode", "scaled", str),
-        "scale_factor": _pick(args.scale_factor, config, "agent.scale_factor", 2.0, float),
-        "error_prob": _pick(args.epsilon, config, "agent.error_prob",
-                            DEFAULT_ERROR_PROB, float),
-        "relaxation_l": _pick(args.relaxation_l, config, "agent.relaxation_l",
-                              DEFAULT_RELAXATION_L, float),
-    }
-    if agent["kind"] not in AGENT_KINDS:
-        raise ValueError(f"unknown agent {agent['kind']!r}; expected one of {AGENT_KINDS}")
-    if agent["mode"] not in CONSTANT_MODES:
-        raise ValueError(f"unknown mode {agent['mode']!r}; expected one of {CONSTANT_MODES}")
-    return agent
-
-
-def _make_agent(agent_cfg: dict, market: MarketConfig, horizon: int, seed: int):
-    if agent_cfg["kind"] == "fpa":
+def _make_agent(settings: dict, market: MarketConfig, horizon: int, seed: int):
+    if settings["agent.kind"] == "fpa":
         return FpaAgent(FpaConfig(
             grid=market.grid, q=market.q, horizon=horizon, seed=seed,
-            error_prob=agent_cfg["error_prob"],
-            relaxation_l=agent_cfg["relaxation_l"],
-            constants_mode=agent_cfg["mode"],
-            scale_factor=agent_cfg["scale_factor"]))
-    return baseline_agent(agent_cfg["kind"], market, seed=seed)
-
-
-def _auto_record_every(horizon: int) -> int:
-    return max(1, horizon // 10_000)
+            error_prob=settings["agent.error_prob"],
+            relaxation_l=settings["agent.relaxation_l"],
+            constants_mode=settings["agent.mode"],
+            scale_factor=settings["agent.scale_factor"]))
+    return baseline_agent(settings["agent.kind"], market, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +215,18 @@ def _auto_record_every(horizon: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _cell_payloads(market: MarketConfig, horizon: int, seeds: Sequence[int],
-                   agent_cfg: dict, record_every: int, oracle_revenue: float,
-                   out_dir: Optional[str] = None, emit: Sequence[str] = (),
-                   echo: Optional[dict] = None) -> list[dict]:
+                   config: dict, record_every: int, oracle_revenue: float,
+                   out_dir: Optional[str] = None, emit: Sequence[str] = ()) -> list[dict]:
     """One :func:`_episode_cell` payload per seed: an episode of ``horizon``
-    rounds on ``market``, writing the files ``emit`` names into ``out_dir``
-    with ``echo`` as the summary's config."""
+    rounds on ``market`` by the agent of ``config``'s ``agent.*`` keys,
+    writing the files ``emit`` names into ``out_dir`` with ``config`` as the
+    summary's config."""
     market_text = market_to_text(market)
     return [{
         "market_text": market_text, "horizon": horizon, "seed": seed,
-        "agent": agent_cfg, "record_every": record_every,
+        "config": config, "record_every": record_every,
         "oracle_revenue": oracle_revenue, "out_dir": out_dir,
         "write_trace": "trace" in emit, "write_summary": "summary" in emit,
-        "echo": {} if echo is None else echo,
     } for seed in seeds]
 
 
@@ -231,7 +246,7 @@ def _episode_cell(payload: dict) -> dict:
     """One (horizon, seed) episode; file writes use cell-unique names."""
     market = market_from_text(payload["market_text"])
     horizon, seed = payload["horizon"], payload["seed"]
-    agent = _make_agent(payload["agent"], market, horizon, seed)
+    agent = _make_agent(payload["config"], market, horizon, seed)
     try:
         trace = run_episode(agent, market, horizon, seed=seed,
                             record_every=payload["record_every"],
@@ -246,7 +261,7 @@ def _episode_cell(payload: dict) -> dict:
         write_trace_csv(trace, os.path.join(out_dir, f"trace_{tag}.csv"))
     if out_dir is not None and payload["write_summary"]:
         summary = trace.summary()
-        summary["config"] = payload["echo"]
+        summary["config"] = payload["config"]
         write_summary_json(summary, os.path.join(out_dir, f"summary_{tag}.json"))
     return {
         "horizon": horizon,
@@ -293,9 +308,8 @@ def _run_cells(payloads: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    env = _resolve_env(args, config)
-    market = _build_market(env, horizon=args.horizon)
+    settings = resolve_settings(args, ("environment",))
+    market = _build_market(settings, horizon=args.horizon)
     solution = solve_fair_optimal(market)
     report = {
         "market": market_to_text(market),
@@ -311,9 +325,10 @@ def cmd_solve(args) -> int:
     for g in (1, 2):
         weights = " ".join(f"{x:.6f}" for x in solution.policy.weights(g))
         print(f"group{g}   [{weights}]")
-    eps = env["eps"] if env["preset"] == "example-eps" else 0.0
-    if (env["market_file"] is None and env["preset"] in ("example1", "example-eps")
-            and 0.0 <= eps <= CLOSED_FORM_EPS_MAX):
+    preset = settings["environment.preset"]
+    eps = settings["environment.eps"] if preset == "example-eps" else 0.0
+    if (settings["environment.market_file"] is None
+            and preset in ("example1", "example-eps") and 0.0 <= eps <= CLOSED_FORM_EPS_MAX):
         closed = closed_form_example_optimum(eps)
         gap = abs(closed.revenue - solution.revenue)
         report["closed_form_revenue"] = closed.revenue
@@ -326,40 +341,29 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _echo(env: dict, agent: dict, extra: dict) -> dict:
-    flat = {f"environment.{k}": v for k, v in env.items()}
-    flat.update({f"agent.{k}": v for k, v in agent.items()})
-    flat.update(extra)
-    return flat
-
-
 def cmd_run(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    env = _resolve_env(args, config)
-    agent_cfg = _resolve_agent(args, config)
-    horizon = _pick(args.horizon, config, "run.horizon", None, int)
+    settings = resolve_settings(args, ("environment", "agent", "run", "output"))
+    horizon = settings["run.horizon"]
     if horizon is None:
         raise ValueError("run needs --horizon")
-    seeds = parse_seed_spec(_pick(args.seeds, config, "run.seeds", "1", str))
-    record_every = _pick(args.record_every, config, "run.record_every",
-                         _auto_record_every(horizon), int)
-    out_dir = _pick(args.out, config, "output.dir", None, str)
+    if settings["run.record_every"] is None:
+        settings["run.record_every"] = max(1, horizon // 10_000)
+    out_dir = settings.pop("output.dir")  # the rest is the summaries' config
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    market = _build_market(env, horizon=horizon)
+    market = _build_market(settings, horizon=horizon)
     oracle_revenue = solve_fair_optimal(market).revenue
     emit = _parse_emit(args.emit)
-    echo = _echo(env, agent_cfg, {"run.horizon": horizon, "run.seeds": seeds,
-                                  "run.record_every": record_every})
-    cells = _run_cells(_cell_payloads(market, horizon, seeds, agent_cfg, record_every,
-                                      oracle_revenue, out_dir, emit, echo))
+    cells = _run_cells(_cell_payloads(market, horizon, settings["run.seeds"], settings,
+                                      settings["run.record_every"], oracle_revenue,
+                                      out_dir, emit))
     for cell in cells:
         print(f"T={cell['horizon']} seed={cell['seed']}: "
               f"regret {cell['cum_regret']:.3f}, S {cell['cum_s']:.3f}, "
               f"U {cell['cum_u']:.2e}, reward {cell['cum_reward']:.3f}")
     if out_dir:
-        merged = {"config": echo, "oracle_revenue": oracle_revenue, "cells": cells}
+        merged = {"config": settings, "oracle_revenue": oracle_revenue, "cells": cells}
         write_summary_json(merged, os.path.join(out_dir, "run_summary.json"))
     return 0
 
@@ -376,28 +380,23 @@ def _slope_text(slope: Optional[float]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    env = _resolve_env(args, config)
-    agent_cfg = _resolve_agent(args, config)
-    horizons = parse_horizons(_pick(args.horizons, config, "sweep.horizons", "", str))
-    seed_spec = _pick(args.seeds, config, "sweep.seeds", "", str)
-    seeds = parse_seed_spec(seed_spec) if seed_spec else []
+    settings = resolve_settings(args, ("environment", "agent", "sweep", "output"))
+    horizons, seeds = settings["sweep.horizons"], settings["sweep.seeds"]
     if len(horizons) < 3:
         raise ValueError("sweep needs at least 3 horizons")
     if len(seeds) < 5:
         raise ValueError("sweep needs at least 5 seeds")
-    out_dir = _pick(args.out, config, "output.dir", None, str)
+    out_dir = settings.pop("output.dir")  # the rest is the summaries' config
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     emit = _parse_emit(args.emit)
-    echo = _echo(env, agent_cfg, {"sweep.horizons": horizons, "sweep.seeds": seeds})
 
     payloads = []
     for horizon in horizons:
-        market = _build_market(env, horizon=horizon)
-        payloads += _cell_payloads(market, horizon, seeds, agent_cfg,
+        market = _build_market(settings, horizon=horizon)
+        payloads += _cell_payloads(market, horizon, seeds, settings,
                                    max(1, horizon),  # summaries only; no row spam
-                                   solve_fair_optimal(market).revenue, out_dir, emit, echo)
+                                   solve_fair_optimal(market).revenue, out_dir, emit)
     cells = _run_cells(payloads)
 
     by_horizon: dict[int, list[dict]] = {}
@@ -425,15 +424,14 @@ def cmd_sweep(args) -> int:
                          f"{row['mean_regret']:.17g},{row['stderr_regret']:.17g},"
                          f"{row['mean_s']:.17g},{row['stderr_s']:.17g}\n")
         write_summary_json(
-            {"config": echo, "curve": rows, "cells": cells,
+            {"config": settings, "curve": rows, "cells": cells,
              "slope_regret": slope_regret, "slope_s": slope_s},
             os.path.join(out_dir, "sweep_summary.json"))
     return 0
 
 
 def cmd_compare_lb(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    agent_cfg = _resolve_agent(args, config)
+    settings = resolve_settings(args, ("agent",))
     eps = args.eps if args.eps is not None else 0.01
     # The closed forms also check eps's range, before any episode runs.
     base, pert = closed_form_example_optimum(0.0), closed_form_example_optimum(eps)
@@ -447,7 +445,7 @@ def cmd_compare_lb(args) -> int:
     for label, arm_eps in (("base", 0.0), ("perturbed", eps)):
         market = example_eps_market(arm_eps)
         oracle_revenue = solve_fair_optimal(market).revenue
-        cells = _run_cells(_cell_payloads(market, horizon, seeds, agent_cfg,
+        cells = _run_cells(_cell_payloads(market, horizon, seeds, settings,
                                           max(1, horizon), oracle_revenue))
         arms[label] = {"eps": arm_eps, "oracle_revenue": oracle_revenue,
                        **_cell_stats(cells), "cells": cells}

@@ -64,11 +64,6 @@ from .oracle import (
     max_probability_policies,
 )
 
-DEFAULT_ERROR_PROB = 0.05
-# Default multiplier L on the fairness band inside the revenue floor.  It must
-# dominate how fast the relaxed optimum's revenue grows in the band width
-# (measured slope ~0.16 on the built-in example; see README benchmarks).
-DEFAULT_RELAXATION_L = 0.2
 # Scaled mode: delta_{k,r} = c * B_R / sqrt(tau_k), delta_{k,s} = c * B_S / sqrt(tau_k).
 # Calibrated on the built-in example.  Per-epoch estimates put the optimum's
 # measured gap at roughly 0.25/sqrt(tau) (sd ~0.2/sqrt(tau)) and its revenue
@@ -97,7 +92,7 @@ class DegenerateDemandError(RuntimeError):
 
 @dataclass(frozen=True)
 class FpaConfig:
-    """Run parameters for the agent.
+    """Run parameters for the agent.  The defaults are the CLI's too.
 
     Attributes:
         grid: price levels.
@@ -105,6 +100,9 @@ class FpaConfig:
         horizon: total number of rounds T.
         error_prob: failure budget of the confidence schedule.
         relaxation_l: multiplier L on the fairness band in the revenue floor.
+            It must dominate how fast the relaxed optimum's revenue grows in
+            the band width: a slope of 0.16-0.17 on the built-in example for
+            bands up to 0.01 (``demos/relaxation_frontier.py`` prints it).
         constants_mode: "scaled" (bench constants, knob ``scale_factor``) or
             "theory" (analysis constants).
         scale_factor: the knob c of scaled mode.
@@ -115,8 +113,8 @@ class FpaConfig:
     grid: PriceGrid
     q: float
     horizon: int
-    error_prob: float = DEFAULT_ERROR_PROB
-    relaxation_l: float = DEFAULT_RELAXATION_L
+    error_prob: float = 0.05
+    relaxation_l: float = 0.2
     constants_mode: str = "scaled"
     scale_factor: float = 2.0
     seed: int = 0

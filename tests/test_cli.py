@@ -1,15 +1,17 @@
 """Command-line interface, driven in process through main()."""
 
-import ast
-import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from fairprice import MarketConfig, market_to_text
-import fairprice.cli
+import fairprice
+from fairprice import MarketConfig, market_from_text, market_to_text, solve_fair_optimal
 from fairprice.cli import CONFIG_KEYS, main, parse_horizons, parse_seed_spec, worker_count
 from fairprice.sim import example1_market, example_eps_market
+from fairprice.validation import CheckResult
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +24,7 @@ def test_seed_specs():
     assert parse_seed_spec("0,2,5") == [0, 2, 5]
     with pytest.raises(ValueError):
         parse_seed_spec("5-3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed spec 'two'"):
         parse_seed_spec("two")
 
 
@@ -30,6 +32,8 @@ def test_horizon_specs():
     assert parse_horizons("1000,2000") == [1000, 2000]
     with pytest.raises(ValueError):
         parse_horizons("1000,-5")
+    with pytest.raises(ValueError, match="horizons '1000,x'"):
+        parse_horizons("1000,x")
 
 
 def test_worker_count_is_validated_and_capped():
@@ -197,8 +201,11 @@ def test_run_usage_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run", "--preset", "example1", "-T", "100",
                  "--emit", "trace,plots"]) == 2                # unknown emit token
+    assert "unknown emit kinds ['plots']" in capsys.readouterr().err
     assert main(["run", "--preset", "example1", "-T", "100",
-                 "--seeds", "x"]) == 2
+                 "--seeds", "x"]) == 2                      # names the spec
+    assert capsys.readouterr().err == ("error: seed spec 'x': "
+                                       "invalid literal for int() with base 10: 'x'\n")
 
 
 def test_config_file_fills_in_and_flags_override(tmp_path):
@@ -241,11 +248,82 @@ def test_config_file_unknown_keys_are_errors(tmp_path, capsys):
         assert "'agent.scale_facter'" in capsys.readouterr().err
 
 
-def test_config_keys_are_the_keys_the_commands_read():
-    tree = ast.parse(inspect.getsource(fairprice.cli))
-    read = {node.args[2].value for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_pick"}
-    assert read == set(CONFIG_KEYS) and len(CONFIG_KEYS) == 16
+def test_every_config_key_is_read_from_the_file(tmp_path):
+    """Each key, set only in the file and to a value other than its default,
+    reaches the command: in the echoed config, where files go, and which
+    market is solved."""
+    market = tmp_path / "market.txt"
+    market.write_text(market_to_text(example_eps_market(0.03)))
+    out = tmp_path / "out"
+    in_file = {
+        "environment.preset": "example-eps", "environment.eps": "0.02",
+        "environment.market_file": str(market), "environment.lb_j": "2",
+        "environment.lb_d": "4", "agent.kind": "best_fixed", "agent.mode": "theory",
+        "agent.scale_factor": "1.5", "agent.error_prob": "0.1",
+        "agent.relaxation_l": "0.3", "run.horizon": "300", "run.seeds": "2-3",
+        "run.record_every": "50", "output.dir": str(out),
+        "sweep.horizons": "300,600,900", "sweep.seeds": "1-5",
+    }
+    assert sorted(in_file) == sorted(CONFIG_KEYS) and len(CONFIG_KEYS) == 16
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in in_file.items()))
+    shared = {
+        "environment.preset": "example-eps", "environment.eps": 0.02,
+        "environment.market_file": str(market), "environment.lb_j": 2,
+        "environment.lb_d": 4, "agent.kind": "best_fixed", "agent.mode": "theory",
+        "agent.scale_factor": 1.5, "agent.error_prob": 0.1, "agent.relaxation_l": 0.3,
+    }
+    revenue = solve_fair_optimal(market_from_text(market.read_text())).revenue
+    assert revenue != solve_fair_optimal(example_eps_market(0.02)).revenue
+
+    assert main(["run", "--config", str(cfg)]) == 0
+    run = json.loads((out / "run_summary.json").read_text())
+    assert run["config"] == {**shared, "run.horizon": 300, "run.seeds": [2, 3],
+                             "run.record_every": 50}
+    assert run["oracle_revenue"] == revenue
+    assert len((out / "trace_T300_seed3.csv").read_text().splitlines()) == 1 + 7
+
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    sweep = json.loads((out / "sweep_summary.json").read_text())
+    assert sweep["config"] == {**shared, "sweep.horizons": [300, 600, 900],
+                               "sweep.seeds": [1, 2, 3, 4, 5]}
+
+    report = tmp_path / "solve.json"
+    assert main(["solve", "--config", str(cfg), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["market"] == market.read_text()
+
+
+def test_config_values_of_the_wrong_type_name_the_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text("run.horizon = 500\nagent.scale_factor = two\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: agent.scale_factor: "
+                                       "could not convert string to float: 'two'\n")
+    cfg.write_text("sweep.horizons = 300,600,900\nsweep.seeds = 0-x\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: sweep.seeds: seed spec '0-x': "
+                                       "invalid literal for int() with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("agent.kind = greedy", "unknown agent 'greedy'; expected one of "
+     "('fpa', 'best_fixed', 'ucb_fixed', 'fair_oracle', 'group_oracle')"),
+    ("agent.mode = fast", "unknown mode 'fast'; expected one of ('scaled', 'theory')"),
+    ("environment.preset = example2", "unknown preset 'example2'; expected one of "
+     "('example1', 'example-eps', 'lowerbound')"),
+])
+def test_config_values_outside_their_sets_are_errors(tmp_path, monkeypatch, capsys,
+                                                     line, message):
+    """The flags' choices do not guard the file; the resolver does, before
+    any episode runs."""
+    def no_cells(payloads):
+        raise AssertionError("episodes ran before the config was checked")
+
+    monkeypatch.setattr("fairprice.cli._run_cells", no_cells)
+    cfg = tmp_path / "choices.cfg"
+    cfg.write_text(f"run.horizon = 500\n{line}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +411,35 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+# ---------------------------------------------------------------------------
+# validate, and the module entry point
+# ---------------------------------------------------------------------------
+
+def test_validate_reports_every_check(tmp_path, monkeypatch, capsys):
+    checks = (lambda: CheckResult("fake-pass", True, "as expected", 0.123),
+              lambda: CheckResult("fake-fail", False, "expected 1, got 2", 1.0))
+    monkeypatch.setattr("fairprice.validation.ALL_CHECKS", checks)
+    out = tmp_path / "results.json"
+    assert main(["validate", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] fake-pass (0.1s): as expected",
+        "[FAIL] fake-fail (1.0s): expected 1, got 2",
+        "1/2 checks passed",
+    ]
+    assert json.loads(out.read_text()) == [
+        {"name": "fake-pass", "passed": True, "detail": "as expected", "elapsed": 0.12},
+        {"name": "fake-fail", "passed": False, "detail": "expected 1, got 2",
+         "elapsed": 1.0},
+    ]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fairprice.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "fairprice", "solve", "--preset", "example1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "revenue  0.510344828\n" in done.stdout

@@ -12,7 +12,9 @@ import fairprice.fpa
 from fairprice import (
     FpaAgent,
     FpaConfig,
+    LedgerEntry,
     example1_market,
+    fixed_price_policy,
     max_probability_policy,
     run_episode,
     write_summary_json,
@@ -134,6 +136,28 @@ def test_single_round_horizon_retires_the_agent():
     assert agent.stage == "done"
     with pytest.raises(ProtocolError):
         agent.propose_price(1)
+
+
+def test_batches_wait_for_the_pending_round():
+    agent = FpaAgent(_config(1000))
+    idx = agent.propose_price(1)
+    with pytest.raises(ProtocolError, match="awaits observe"):
+        agent.propose_batch(np.array([1, 2]))
+    agent.observe(1, idx, True)
+    assert agent.propose_batch(np.array([1, 2])).tolist() == [2, 2]
+
+
+def test_a_finished_agent_reports_its_last_policy(short_run):
+    """Past the horizon the incumbent governs, or the top price when no epoch
+    has chosen one."""
+    agent, _ = short_run
+    assert agent.stage == "done" and agent.current_policy() is agent.incumbent
+    agent = FpaAgent(_config(1))
+    agent.observe(2, agent.propose_price(2), True)
+    assert agent.stage == "done" and agent.incumbent is None
+    top = fixed_price_policy(3, 2)
+    for g in (1, 2):
+        np.testing.assert_array_equal(agent.current_policy().weights(g), top.weights(g))
 
 
 def test_all_rejections_raise_degenerate_demand():
@@ -306,3 +330,46 @@ def test_deep_ledger_episode_bytes_match_the_golden_digests(tmp_path, horizon, s
     want = DEEP_LEDGER_DIGESTS[horizon, seed]
     assert hashlib.sha256(csv).hexdigest() == want[0], "trace CSV differs"
     assert hashlib.sha256(summary).hexdigest() == want[1], "summary JSON differs"
+
+
+# ---------------------------------------------------------------------------
+# when nothing survives the ledger
+# ---------------------------------------------------------------------------
+
+class _UnclearableSnapshot:
+    """Forwards to an FPA agent; at its first proposal of epoch 1 appends a
+    snapshot whose revenue floor (1.0) no policy clears, and notes the
+    policy governing each later proposal with the incumbent of that time."""
+
+    def __init__(self, agent, market):
+        self._agent = agent
+        self._entry = LedgerEntry(0, market.accept, 0.01, 1.0)
+        self.played = []
+
+    def __getattr__(self, name):
+        return getattr(self._agent, name)
+
+    def propose_batch(self, groups):
+        agent = self._agent
+        if agent.epoch == 1 and self._entry is not None:
+            agent.ledger.append(self._entry)
+            self._entry = None
+        idx = agent.propose_batch(groups)
+        self.played.append((agent.epoch, agent.current_policy(), agent.incumbent))
+        return idx
+
+
+def test_an_unclearable_ledger_falls_back_to_the_incumbent():
+    market = example1_market()
+    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=2000, seed=0))
+    wrapped = _UnclearableSnapshot(agent, market)
+    trace = run_episode(wrapped, market, 2000, seed=0, oracle_revenue=74.0 / 145.0)
+    assert "optimizer_ledger_infeasible:e1" in agent.flags
+    assert any(f.startswith("probe_ledger_infeasible:e2:") for f in agent.flags)
+    assert "empty_active_set:e2" in agent.flags
+    assert agent.epochs_info[1]["n_active"] == 1
+    epoch2 = [(policy, incumbent) for epoch, policy, incumbent in wrapped.played
+              if epoch == 2]
+    assert epoch2 and all(policy is incumbent for policy, incumbent in epoch2)
+    assert trace.max_inst_u <= 1e-9
+    assert all(r.inst_u <= 1e-9 for r in trace.records) and len(trace.records) == 2000
