@@ -23,7 +23,8 @@ default unnoticed::
     sweep.seeds = 10
 
 Seed specs accept a count (``10`` means seeds 0..9), an inclusive range
-(``3-7``), or an explicit list (``0,2,5``).  The environment variable
+(``3-7``), or an explicit list (``0,2,5``); a list that repeats a seed, or
+horizons that repeat a horizon, are an error.  The environment variable
 ``FAIRPRICE_THREADS`` (an integer >= 1; default 4) caps how many episode
 cells run concurrently; the cell count and the CPU count cap it too.  Errors
 (bad input, or an episode the agent cannot run) print one line and exit 2.
@@ -105,6 +106,8 @@ def parse_seed_spec(spec: str) -> list[int]:
         raise ValueError(f"seed spec {spec!r}: {exc}") from None
     if not seeds:
         raise ValueError(f"seed spec {spec!r} selects no seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seed spec {spec!r} repeats a seed")
     return seeds
 
 
@@ -116,6 +119,8 @@ def parse_horizons(spec: str) -> list[int]:
         raise ValueError(f"horizons {spec!r}: {exc}") from None
     if any(h < 1 for h in horizons):
         raise ValueError(f"horizons must be >= 1, got {spec!r}")
+    if len(set(horizons)) < len(horizons):
+        raise ValueError(f"horizons {spec!r} repeat a horizon")
     return horizons
 
 
@@ -164,7 +169,7 @@ def resolve_settings(args, sections: Sequence[str]) -> dict:
             settings[key] = default
     if "environment" in sections:
         preset = settings["environment.preset"]
-        if settings["environment.market_file"] is None and preset not in PRESETS:
+        if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
     if "agent" in sections:
         if settings["agent.kind"] not in AGENT_KINDS:

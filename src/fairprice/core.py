@@ -12,16 +12,17 @@ everything else is built on:
 
 where ``m_e = v'F_e pi_e / 1'F_e pi_e`` is the mean price paid by buyers of
 group ``e`` who actually accept.
+
+It also holds :class:`RandomStream`, the seeded random streams an episode
+draws from, one value at a time or in blocks, with the same values.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import random
-import threading
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -33,20 +34,6 @@ MONOTONE_TOL = 1e-12
 RENORMALIZE_CLIP_TOL = 1e-9
 # Default floor on acceptance probabilities (keeps accepted means well defined).
 DEFAULT_F_MIN = 0.05
-# draw_block's generator, built once and re-stated on every call; the lock
-# keeps the state copy, the draws and the copy back together.
-_BLOCK_BITS = np.random.MT19937(0)
-_BLOCK_GEN = np.random.Generator(_BLOCK_BITS)
-_BLOCK_LOCK = threading.Lock()
-# The generator's state in place, as numpy lays it out: 624 key words, then
-# pos.  Reading it here skips the ``state`` getter's per-word copy; the view
-# is checked against that getter once.
-_BLOCK_WORDS = np.frombuffer((ctypes.c_uint32 * 625).from_address(
-    _BLOCK_BITS.ctypes.state_address), dtype=np.uint32)
-_state = _BLOCK_BITS.state["state"]
-if not (np.array_equal(_BLOCK_WORDS[:624], _state["key"]) and _BLOCK_WORDS[624] == _state["pos"]):
-    raise ImportError("numpy's MT19937 state layout is not 624 key words then pos")
-del _state
 
 
 class ZeroAcceptanceError(ValueError):
@@ -64,24 +51,36 @@ def stream_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def draw_block(rng: random.Random, n: int) -> np.ndarray:
-    """The next ``n`` values of ``rng.random()`` as a float64 array.
+class RandomStream:
+    """A named random stream of doubles in [0, 1) on its own numpy MT19937,
+    started from the state of ``random.Random(stream_seed(seed, label))``.
+    CPython and numpy build a double from two 32-bit outputs the same way
+    (``(a >> 5) * 2**26 + (b >> 6)``, scaled by ``2**-53``), so the values
+    are that object's ``random()``'s, however :meth:`random` (served from a
+    read-ahead list) and :meth:`block` (that list's rest first) interleave."""
 
-    ``rng`` advances by exactly ``n`` draws, so blocks and single draws can
-    be interleaved on one stream.  CPython's ``random()`` and numpy's
-    MT19937 ``random()`` build a double from two 32-bit outputs the same way
-    (``(a >> 5) * 2**26 + (b >> 6)``, scaled by ``2**-53``), so copying the
-    generator state across gives bit-identical values.
-    """
-    version, internal, gauss_next = rng.getstate()
-    with _BLOCK_LOCK:
-        # The setter copies a tuple key word by word; no array is built.
-        _BLOCK_BITS.state = {"bit_generator": "MT19937",
-                             "state": {"key": internal[:-1], "pos": internal[-1]}}
-        out = _BLOCK_GEN.random(n)
-        internal = tuple(_BLOCK_WORDS.tolist())
-    rng.setstate((version, internal, gauss_next))
-    return out
+    READ_AHEAD = 256
+
+    def __init__(self, seed: int, label: str):
+        _, internal, _ = random.Random(stream_seed(seed, label)).getstate()
+        self._gen = np.random.Generator(np.random.MT19937(0))
+        self._gen.bit_generator.state = {"bit_generator": "MT19937",
+                                         "state": {"key": internal[:-1], "pos": internal[-1]}}
+        self._ahead = iter(())
+
+    def random(self) -> float:
+        """The stream's next value."""
+        try:
+            return next(self._ahead)
+        except StopIteration:
+            self._ahead = iter(self._gen.random(self.READ_AHEAD).tolist())
+            return next(self._ahead)
+
+    def block(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` values as a float64 array."""
+        head = list(islice(self._ahead, n))
+        tail = self._gen.random(n - len(head))
+        return np.concatenate((head, tail)) if head else tail
 
 
 def cumulative_weights(policy: PolicyPair) -> tuple[list[float], list[float]]:

@@ -39,7 +39,6 @@ magnitude at bench horizons) and "scaled" replaces them with a single knob
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -50,11 +49,10 @@ from .core import (
     AcceptanceModel,
     PolicyPair,
     PriceGrid,
+    RandomStream,
     cumulative_weights,
-    draw_block,
     draw_prices,
     fixed_price_policy,
-    stream_seed,
 )
 from .oracle import (
     EliminationLedger,
@@ -191,7 +189,9 @@ class FpaAgent:
     protocols may alternate between rounds.
 
     Each round of an epoch samples the batch's policy with one draw u of the
-    agent's stream, by the rule of :func:`~fairprice.core.cumulative_weights`:
+    agent's :class:`~fairprice.core.RandomStream` ``rng`` (``random()`` for a
+    round, ``block(n)`` for a batch), by the rule of
+    :func:`~fairprice.core.cumulative_weights`:
     the price whose interval [cum[i-1], cum[i]) holds u, so a zero-weight
     price is never posted.  The warmup posts the top price and draws nothing."""
 
@@ -199,7 +199,7 @@ class FpaAgent:
         self.cfg = cfg
         self.oracle_cfg = oracle_cfg
         self.d = cfg.grid.d
-        self.rng = random.Random(stream_seed(cfg.seed, "agent"))
+        self.rng = RandomStream(cfg.seed, "agent")
         self.ledger = EliminationLedger(cfg.grid, cfg.q)
 
         self.stage = "warmup"
@@ -289,7 +289,7 @@ class FpaAgent:
         if self._cums is None:
             idx = np.full(n, self.d - 1)
         else:
-            idx = draw_prices(self._cums, groups, draw_block(self.rng, n))
+            idx = draw_prices(self._cums, groups, self.rng.block(n))
         self._pending_batch = (groups, idx)
         return idx
 

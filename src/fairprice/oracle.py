@@ -32,7 +32,7 @@ ledger it was searched under, with room for renormalization's rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -830,13 +830,14 @@ def _search_lp(v, f1, f2, q, delta, entries, spec) -> Optional[_Row]:
     return max((row for _, row in found), key=lambda r: (r.value, r.revenue), default=None)
 
 
-def _explicit_rows(v, f1, f2, q, delta, entries, policies, spec) -> list[_Row]:
-    """Score hand-picked whole policies, given as (w1, w2, fixed) (fixed
-    prices, an incumbent), under the same constraints the searches enforce."""
+def _explicit_rows(v, f1, f2, q, delta, entries, policies) -> list[_Row]:
+    """The hand-picked whole policies, given as (w1, w2, fixed) (fixed
+    prices, an incumbent), that meet the constraints the searches enforce,
+    with no value yet: the screen does not depend on the objective."""
     rows = []
     for w1, w2, fixed in policies:
-        row = _row_from_weights(v, f1, f2, q, float(spec.c @ np.r_[w1, w2]),
-                                float((v * f1) @ w1) / float(f1 @ w1), w1, w2, fixed)
+        row = _row_from_weights(v, f1, f2, q, 0.0, float((v * f1) @ w1) / float(f1 @ w1),
+                                w1, w2, fixed)
         if (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL and abs(row.point.beta) <= delta + MEMBER_TOL
                 and _clears_ledger(v, q, entries, w1, w2)):
             rows.append(row)
@@ -868,7 +869,8 @@ def _search(v, f1, f2, q, delta, entries, specs, cfg=None, extra_policies=()):
     snapshots takes the closed-form scan, which folds the bands exactly and
     shares its objective-free state between the objectives; everything else
     takes the exact LP search, one objective at a time.  The fixed prices and
-    any extra policies are scored as candidates too."""
+    any extra policies are candidates too, screened once and scored per
+    objective."""
     if 2 * v.size > MAX_LP_VARS:
         raise ValueError(f"a grid of {v.size} prices needs {2 * v.size} LP variables; at most "
                          f"{MAX_LP_VARS} are supported (d <= {MAX_LP_VARS // 2})")
@@ -878,7 +880,9 @@ def _search(v, f1, f2, q, delta, entries, specs, cfg=None, extra_policies=()):
         found = [_search_lp(v, f1, f2, q, delta, entries, spec) for spec in specs]
     policies = [(w, w, True) for w in np.eye(v.size)]
     policies += [(pol.group1.weights, pol.group2.weights, False) for pol in extra_policies]
-    return [_select_best([row] + _explicit_rows(v, f1, f2, q, delta, entries, policies, spec))
+    explicit = _explicit_rows(v, f1, f2, q, delta, entries, policies)
+    return [_select_best([row] + [replace(r, value=float(spec.c @ np.r_[r.pi1, r.pi2]))
+                                  for r in explicit])
             for row, spec in zip(found, specs)]
 
 

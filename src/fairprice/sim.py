@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -30,14 +29,13 @@ from .core import (
     MarketConfig,
     PolicyPair,
     PriceGrid,
+    RandomStream,
     best_fixed_price,
     cumulative_weights,
-    draw_block,
     draw_prices,
     expected_revenue,
     fixed_price_policy,
     procedural_gap,
-    stream_seed,
     substantive_gap,
 )
 from .linsolve import solve_linear_system
@@ -333,8 +331,7 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
     if oracle_revenue is None:
         oracle_revenue = solve_fair_optimal(market).revenue
     trace = RunTrace(horizon=horizon, seed=seed, oracle_revenue=oracle_revenue)
-    streams = (random.Random(stream_seed(seed, "env-groups")),
-               random.Random(stream_seed(seed, "env-values")))
+    streams = (RandomStream(seed, "env-groups"), RandomStream(seed, "env-values"))
     if callable(getattr(agent, "propose_batch", None)):
         _play_blocks(agent, market, trace, record_every, streams)
     else:
@@ -415,12 +412,12 @@ def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int
     t = 0
     while t < horizon:
         n = min(agent.batch_rounds(), horizon - t, MAX_BLOCK_ROUNDS)
-        groups = np.where(draw_block(group_rng, n) < market.q, 1, 2)
+        groups = np.where(group_rng.block(n) < market.q, 1, 2)
         idx = agent.propose_batch(groups)
         inst_regret, inst_s, inst_u = costs(agent.current_policy())
         epoch = getattr(agent, "epoch", 0)
 
-        accepted = draw_block(value_rng, n) < curves[groups - 1, idx]
+        accepted = value_rng.block(n) < curves[groups - 1, idx]
         reward = np.where(accepted, v[idx], 0.0)
         agent.observe_batch(groups, idx, accepted)
 
@@ -461,7 +458,7 @@ class FixedPolicyAgent:
 
     def __init__(self, policy: PolicyPair, seed: int = 0):
         self._policy = policy
-        self._rng = random.Random(stream_seed(seed, "agent"))
+        self._rng = RandomStream(seed, "agent")
         self._cums = cumulative_weights(policy)
 
     def propose_price(self, group: int) -> int:
@@ -478,7 +475,7 @@ class FixedPolicyAgent:
     def propose_batch(self, groups: np.ndarray) -> np.ndarray:
         if not np.all((groups == 1) | (groups == 2)):
             raise ValueError("group must be 1 or 2")
-        return draw_prices(self._cums, groups, draw_block(self._rng, groups.size))
+        return draw_prices(self._cums, groups, self._rng.block(groups.size))
 
     def observe_batch(self, groups: np.ndarray, idx: np.ndarray,
                       accepted: np.ndarray) -> None:

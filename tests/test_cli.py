@@ -26,6 +26,8 @@ def test_seed_specs():
         parse_seed_spec("5-3")
     with pytest.raises(ValueError, match="seed spec 'two'"):
         parse_seed_spec("two")
+    with pytest.raises(ValueError, match=r"^seed spec '1,1,2,1' repeats a seed$"):
+        parse_seed_spec("1,1,2,1")
 
 
 def test_horizon_specs():
@@ -34,6 +36,8 @@ def test_horizon_specs():
         parse_horizons("1000,-5")
     with pytest.raises(ValueError, match="horizons '1000,x'"):
         parse_horizons("1000,x")
+    with pytest.raises(ValueError, match=r"^horizons '300,300,1000' repeat a horizon$"):
+        parse_horizons("300,300,1000")
 
 
 def test_worker_count_is_validated_and_capped():
@@ -311,6 +315,9 @@ def test_config_values_of_the_wrong_type_name_the_file_and_key(tmp_path, capsys)
     ("agent.mode = fast", "unknown mode 'fast'; expected one of ('scaled', 'theory')"),
     ("environment.preset = example2", "unknown preset 'example2'; expected one of "
      "('example1', 'example-eps', 'lowerbound')"),
+    # a market file replaces the preset's market, but not the preset's check
+    ("environment.market_file = m.txt\nenvironment.preset = bogus",
+     "unknown preset 'bogus'; expected one of ('example1', 'example-eps', 'lowerbound')"),
 ])
 def test_config_values_outside_their_sets_are_errors(tmp_path, monkeypatch, capsys,
                                                      line, message):
@@ -352,6 +359,13 @@ def test_sweep_rejects_thin_grids(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--preset", "example1", "--horizons", "300,600,1200"]) == 2
     assert capsys.readouterr().err == "error: sweep needs at least 5 seeds\n"
+    # a repeat would count one episode twice toward those minimums
+    assert main(["sweep", "--preset", "example1",
+                 "--horizons", "300,300,1000", "--seeds", "5"]) == 2
+    assert capsys.readouterr().err == "error: horizons '300,300,1000' repeat a horizon\n"
+    assert main(["sweep", "--preset", "example1",
+                 "--horizons", "300,600,1200", "--seeds", "1,1,1,1,1"]) == 2
+    assert capsys.readouterr().err == "error: seed spec '1,1,1,1,1' repeats a seed\n"
 
 
 def _reject_constant(token):

@@ -1,14 +1,12 @@
-"""The batched episode engine: block draws on the shared random streams, the
+"""The batched episode engine: block draws on the random streams, the
 agent's batch protocol, and byte-identical output against the per-round loop."""
 
 import random
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-import fairprice.fpa
 import fairprice.sim
 from fairprice import (
     AcceptanceModel,
@@ -25,7 +23,7 @@ from fairprice import (
     write_summary_json,
     write_trace_csv,
 )
-from fairprice.core import cumulative_weights, draw_block
+from fairprice.core import RandomStream, cumulative_weights, stream_seed
 from fairprice.fpa import ProtocolError, warmup_length
 
 R_STAR = 74.0 / 145.0
@@ -40,57 +38,37 @@ COARSE = OracleConfig(grid_steps_vs=40, grid_steps_alpha=10, refine_iters=1)
 
 @pytest.mark.parametrize("seed", [0, 3, 2**62 + 5])
 def test_block_draws_equal_single_draws(seed):
-    sizes = [0, 1, 5, 311, 312, 313, 3, 50_000, 1, 2055]  # 312 doubles per MT twist
-    reference = random.Random(seed)
-    blocks = random.Random(seed)
+    """A stream's blocks and single draws, interleaved, are the values of
+    ``random.Random(stream_seed(seed, label))`` one for one: blocks of one
+    value, blocks served from the read-ahead, blocks longer than it, and
+    single draws that refill it."""
+    ahead = RandomStream.READ_AHEAD
+    sizes = [0, 1, 5, 311, 312, 313, 3, 50_000, 1, 2055, ahead - 2, ahead, ahead + 1]
+    singles = [1, 0, ahead + 3, 2, ahead - 1]
+    reference = random.Random(stream_seed(seed, "agent"))
+    stream = RandomStream(seed, "agent")
     for k, n in enumerate(sizes):
         want = [reference.random() for _ in range(n)]
-        got = draw_block(blocks, n)
+        got = stream.block(n)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tolist() == want, f"block {k} of {n} draws"
-        assert blocks.random() == reference.random()  # a single draw in between
-    assert blocks.getstate() == reference.getstate()
+        m = singles[k % len(singles)]
+        assert [stream.random() for _ in range(m)] == [reference.random() for _ in range(m)]
+    assert stream.block(2000).tolist() == [reference.random() for _ in range(2000)]
 
 
-def test_block_draws_keep_the_gaussian_cache():
-    reference, blocks = random.Random(1), random.Random(1)
-    reference.gauss(0.0, 1.0)
-    blocks.gauss(0.0, 1.0)  # leaves a cached second normal behind
-    [reference.random() for _ in range(3000)]
-    draw_block(blocks, 3000)
-    assert blocks.getstate() == reference.getstate()
-    assert blocks.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
-
-
-def test_two_streams_alternate_through_the_shared_generator():
-    """Every block re-states the one module generator from its own stream and
-    copies the state back, so blocks of two streams can alternate."""
+def test_two_streams_alternate():
+    """Each stream owns its generator: blocks and single draws of two
+    streams alternate without touching each other's values."""
     sizes = [623, 624, 625, 0, 65_536]  # 624 words per MT19937 state
-    references = [random.Random(7), random.Random(2**40 + 1)]
-    streams = [random.Random(7), random.Random(2**40 + 1)]
+    references = [random.Random(stream_seed(7, "env-groups")),
+                  random.Random(stream_seed(7, "env-values"))]
+    streams = [RandomStream(7, "env-groups"), RandomStream(7, "env-values")]
     for n in sizes:
         for reference, stream in zip(references, streams):
             want = [reference.random() for _ in range(n)]
-            assert draw_block(stream, n).tolist() == want
-            assert stream.getstate() == reference.getstate()
+            assert stream.block(n).tolist() == want
             assert stream.random() == reference.random()
-
-
-def test_block_draws_from_two_threads_stay_on_their_streams():
-    """The lock keeps one block's state copy, draws and copy back together
-    while another thread draws on its own stream."""
-    sizes = [623, 624, 625, 0, 65_536] * 4
-
-    def draws(seed):
-        stream = random.Random(seed)
-        return [draw_block(stream, n).tolist() for n in sizes], stream.getstate()
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(draws, [5, 6]))
-    for seed, (blocks, state) in zip([5, 6], results):
-        reference = random.Random(seed)
-        assert blocks == [[reference.random() for _ in range(n)] for n in sizes]
-        assert state == reference.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +119,7 @@ def test_batch_draws_pick_bisect_rights_index(monkeypatch):
              np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
              0.1, 0.9]
     draws, groups = np.array(draws * 2), np.repeat([1, 2], len(draws))
-    monkeypatch.setattr(fairprice.fpa, "draw_block", lambda rng, n: draws[:n])
+    monkeypatch.setattr(agent.rng, "block", lambda n: draws[:n])
     idx = agent.propose_batch(groups)
     want = [bisect_right(cums[g - 1], u) for g, u in zip(groups, draws)]
     assert idx.tolist() == want
@@ -178,7 +156,9 @@ def test_batches_and_single_rounds_interleave():
         t, blocks = t + n, blocks + 1
     assert rounds == want
     assert mixed.meta() == single.meta()
-    assert mixed.rng.getstate() == single.rng.getstate()
+    # the streams stand at the same value: the next 2,000 draws (more than
+    # one 624-word twist) agree, however the two were drawn
+    assert mixed.rng.block(2000).tolist() == [single.rng.random() for _ in range(2000)]
     np.testing.assert_array_equal(mixed._m, single._m)
 
 

@@ -1,8 +1,9 @@
 """Source hygiene that needs no linter: every module-level import is used,
 every module-level private name is referenced somewhere in the package,
-every public function and class is read in the package or exported, and
-no cache outlives a call (no module-level dict, list or set but
-``__all__``, no ``functools`` cache)."""
+every public function and class is read in the package or exported, no
+cache outlives a call (no module-level dict, list or set but ``__all__``,
+no ``functools`` cache), and no random generator or lock is shared (none at
+module level, no ``ctypes``)."""
 
 from __future__ import annotations
 
@@ -129,24 +130,23 @@ _CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counte
 _FUNCTOOLS_CACHES = {"cache", "lru_cache"}
 
 
+def _called_name(value: ast.expr):
+    """The name a call expression calls (``f`` of ``f()`` and ``m.f()``), or
+    None when ``value`` is not a call."""
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _is_container(value: ast.expr) -> bool:
     """A dict, list or set display or comprehension, or a call that builds
     one (``dict()``, ``collections.defaultdict(list)``, ...)."""
-    if isinstance(value, _CONTAINER_NODES):
-        return True
-    if isinstance(value, ast.Call):
-        func = value.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        return name in _CONTAINER_CALLS
-    return False
+    return isinstance(value, _CONTAINER_NODES) or _called_name(value) in _CONTAINER_CALLS
 
 
-def lasting_caches(source: str) -> list[str]:
-    """Module-level names bound to a dict, list or set (``__all__`` aside),
-    and every use of ``functools.cache`` or ``functools.lru_cache``: state
-    that would outlive the call that filled it."""
-    tree = ast.parse(source)
-    found = []
+def _module_bindings(tree: ast.Module):
+    """(name, value) for each plain name a module-level assignment binds."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
@@ -154,8 +154,16 @@ def lasting_caches(source: str) -> list[str]:
             targets, value = [node.target], node.value
         else:
             continue
-        if _is_container(value):
-            found += [t.id for t in targets if isinstance(t, ast.Name) and t.id != "__all__"]
+        yield from ((t.id, value) for t in targets if isinstance(t, ast.Name))
+
+
+def lasting_caches(source: str) -> list[str]:
+    """Module-level names bound to a dict, list or set (``__all__`` aside),
+    and every use of ``functools.cache`` or ``functools.lru_cache``: state
+    that would outlive the call that filled it."""
+    tree = ast.parse(source)
+    found = [name for name, value in _module_bindings(tree)
+             if name != "__all__" and _is_container(value)]
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
             found += [f"functools.{a.name}" for a in node.names if a.name in _FUNCTOOLS_CACHES]
@@ -177,3 +185,40 @@ def test_the_check_catches_a_lasting_cache():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_cache_outlives_a_call(path):
     assert lasting_caches(path.read_text()) == []
+
+
+# Calls that build a random generator, a bit generator or a lock.
+_SHARED_STATE_CALLS = {"default_rng", "Generator", "RandomState", "Random", "MT19937",
+                       "PCG64", "PCG64DXSM", "Philox", "SFC64", "Lock", "RLock"}
+
+
+def shared_generators(source: str) -> list[str]:
+    """Module-level names bound to a random generator, a bit generator or a
+    lock, which every caller of the module would share, and every
+    ``ctypes`` import (a way into another object's private memory)."""
+    tree = ast.parse(source)
+    found = [name for name, value in _module_bindings(tree)
+             if _called_name(value) in _SHARED_STATE_CALLS]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "ctypes"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes":
+            found.append(node.module)
+    return found
+
+
+def test_the_check_catches_a_shared_generator():
+    source = ("import random\nimport threading\nimport numpy as np\n"
+              "from numpy.random import default_rng\n"
+              "_BITS = np.random.MT19937(0)\n_GEN = np.random.Generator(_BITS)\n"
+              "RNG = default_rng(1)\n_LOCK = threading.Lock()\nSTREAM = random.Random(2)\n"
+              "SEED = hash('x')\n"
+              "def f():\n    import ctypes\n    from ctypes import c_uint32\n"
+              "    rng = np.random.default_rng(0)\n    return rng.random()\n")
+    assert shared_generators(source) == ["_BITS", "_GEN", "RNG", "_LOCK", "STREAM",
+                                         "ctypes", "ctypes"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_generator_or_lock_is_shared(path):
+    assert shared_generators(path.read_text()) == []

@@ -713,6 +713,22 @@ def test_probe_policy_maximizes_weight_within_the_ledger(example_market):
     assert 0.0 < res.achieved_prob <= 1.0
 
 
+@pytest.mark.parametrize("n_probes", [1, 2, 6])
+def test_a_ledger_search_screens_each_hand_picked_candidate_once(example_market, n_probes,
+                                                                 monkeypatch):
+    """The parity, band and ledger tests of the fixed prices do not depend
+    on the objective: a d = 3 ledger search screens each fixed price once,
+    however many probes it then scores them for."""
+    ledger = _ledger_with(example_market, 0.02, 0.48)
+    calls, real = [], oracle._clears_ledger
+    monkeypatch.setattr(oracle, "_clears_ledger",
+                        lambda *args: calls.append(args) or real(*args))
+    probes = [(i, g) for g in (1, 2) for i in range(3)][:n_probes]
+    results = max_probability_policies(probes, example_market.accept, ledger, 0.02)
+    assert len(results) == n_probes and not any(r.ledger_infeasible for r in results)
+    assert len(calls) == example_market.d
+
+
 def test_probe_policy_flags_an_empty_surviving_set(example_market):
     ledger = _ledger_with(example_market, 0.02, 0.99)
     res = max_probability_policy(2, 2, example_market.accept, ledger, 0.02)
