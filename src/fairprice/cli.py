@@ -148,6 +148,15 @@ SETTINGS = (
 CONFIG_KEYS = tuple(row[0] for row in SETTINGS)
 
 
+def _read_config_value(path: str, config: dict[str, str], key: str, read):
+    """``read(config[key])``; a value it cannot read raises ValueError
+    naming the file and the key."""
+    try:
+        return read(config[key])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from None
+
+
 def resolve_settings(args, sections: Sequence[str]) -> dict:
     """``{key: value}`` for each config key of ``sections`` (``"agent"``,
     ``"run"``, ...): the flag, else the ``--config`` file, else the default.
@@ -161,10 +170,7 @@ def resolve_settings(args, sections: Sequence[str]) -> dict:
         if getattr(args, dest) is not None:
             settings[key] = read(getattr(args, dest))
         elif key in config:
-            try:
-                settings[key] = read(config[key])
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: {key}: {exc}") from None
+            settings[key] = _read_config_value(args.config, config, key, read)
         else:
             settings[key] = default
     if "environment" in sections:
@@ -437,7 +443,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare_lb(args) -> int:
     settings = resolve_settings(args, ("agent",))
-    eps = args.eps if args.eps is not None else 0.01
+    # The pair is always the example family, so its perturbation is the one
+    # environment key that applies: --eps, else the file's, else 0.01.
+    config = load_config_file(args.config) if args.config else {}
+    for key in config:
+        if key.startswith("environment.") and key != "environment.eps":
+            raise ValueError(f"{args.config}: {key}: compare-lb always runs the example "
+                             "family; of the environment keys it reads only environment.eps")
+    if args.eps is not None:
+        eps = args.eps
+    elif "environment.eps" in config:
+        eps = _read_config_value(args.config, config, "environment.eps", float)
+    else:
+        eps = 0.01
     # The closed forms also check eps's range, before any episode runs.
     base, pert = closed_form_example_optimum(0.0), closed_form_example_optimum(eps)
     horizon = args.horizon if args.horizon is not None else 100_000
@@ -547,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-lb", help="paired run on the indistinguishable pair")
     _add_agent_flags(compare)
     compare.add_argument("--config", help="flat key=value configuration file")
-    compare.add_argument("--eps", type=float, help="perturbation (default 0.01)")
+    compare.add_argument("--eps", type=float,
+                         help="perturbation (else environment.eps, else 0.01)")
     compare.add_argument("--horizon", "-T", type=int, help="rounds per episode")
     compare.add_argument("--seeds", help="seed spec (default 10)")
     compare.add_argument("--out", help="output directory")

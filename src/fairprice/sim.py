@@ -16,9 +16,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -42,9 +46,10 @@ from .linsolve import solve_linear_system
 from .oracle import solve_fair_optimal
 
 BASELINE_KINDS = ("best_fixed", "ucb_fixed", "fair_oracle", "group_oracle")
-# Longest block of rounds the batched engine plays at once; bounds its arrays
-# (about a dozen arrays of this length).
-MAX_BLOCK_ROUNDS = 65536
+# Longest block of rounds the batched engine plays at once.  A block holds
+# about a dozen float64 arrays of this length: at 8,192 rounds each is 64 KB,
+# so a block's working set stays in a core's L2 cache.
+MAX_BLOCK_ROUNDS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +236,98 @@ class RoundRecord(NamedTuple):
     epoch: int
 
 
+# A trace keeps its rows as columns, each an ``array.array`` whose typecode
+# numpy reads as the same dtype (q: int64, b: int8, d: float64).  One column
+# per RoundRecord field that can change from round to round: t, group,
+# price_index, accepted, reward and the four running totals.
+_ROW_TYPECODES = "qqqbddddd"
+# One column per field a block of rounds shares (its policy's instant
+# metrics and the epoch), after the index of the block's first row: start,
+# inst_regret, inst_s, inst_u, epoch.
+_BLOCK_TYPECODES = "qdddq"
+
+
 @dataclass
 class RunTrace:
-    """Outcome of one episode: thinned per-round records plus exact totals."""
+    """Outcome of one episode: thinned per-round records plus exact totals.
+
+    The kept rows are stored as columns (see ``_ROW_TYPECODES`` and
+    ``_BLOCK_TYPECODES``) and read through :attr:`records`; :meth:`append`
+    adds one row.
+    """
 
     horizon: int
     seed: int
     oracle_revenue: float
-    records: list[RoundRecord] = field(default_factory=list)
     cum_regret: float = 0.0
     cum_s: float = 0.0
     cum_u: float = 0.0
     cum_reward: float = 0.0
     max_inst_u: float = 0.0
     agent_meta: dict = field(default_factory=dict)
+    _rows: tuple = field(default_factory=lambda: tuple(map(array, _ROW_TYPECODES)),
+                         init=False, repr=False)
+    _blocks: tuple = field(default_factory=lambda: tuple(map(array, _BLOCK_TYPECODES)),
+                           init=False, repr=False)
+
+    @property
+    def records(self) -> Sequence[RoundRecord]:
+        """The kept rows as a read-only sequence of :class:`RoundRecord`,
+        each built when it is read, with Python int, bool and float
+        fields."""
+        return _Records(self)
+
+    def append(self, record: RoundRecord) -> None:
+        """Add one kept row after the others, as a block of its own.  A
+        field its column cannot hold (a float ``t``, an int past int64)
+        raises TypeError or OverflowError and leaves the trace as it was."""
+        (t, group, price_index, accepted, reward, inst_regret, inst_s, inst_u,
+         cum_regret, cum_s, cum_u, cum_reward, epoch) = record
+        rows, blocks = self._rows, self._blocks
+        n = len(rows[0])
+        try:
+            blocks[1].append(inst_regret)
+            blocks[2].append(inst_s)
+            blocks[3].append(inst_u)
+            blocks[4].append(epoch)
+            rows[0].append(t)
+            rows[1].append(group)
+            rows[2].append(price_index)
+            rows[3].append(bool(accepted))
+            rows[4].append(reward)
+            rows[5].append(cum_regret)
+            rows[6].append(cum_s)
+            rows[7].append(cum_u)
+            rows[8].append(cum_reward)
+        except (TypeError, OverflowError):
+            for column in rows:
+                del column[n:]
+            for column in blocks[1:]:
+                del column[len(blocks[0]):]
+            raise
+        blocks[0].append(n)
+
+    def _append_block(self, rows: Sequence, inst_regret: float, inst_s: float,
+                      inst_u: float, epoch: int) -> None:
+        """Add the kept rows of one block: ``rows`` holds one array per row
+        column, in ``_ROW_TYPECODES`` order; the rest is the block's."""
+        if len(rows[0]) == 0:
+            return
+        for column, value in zip(self._blocks, (len(self._rows[0]), inst_regret, inst_s,
+                                                inst_u, epoch)):
+            column.append(value)
+        for column, values in zip(self._rows, rows):
+            column.frombytes(np.ascontiguousarray(values, column.typecode).view(np.uint8))
+
+    def _row_columns(self) -> tuple:
+        """Iterables over the kept rows, one value per row each: the five
+        row fields from ``t`` to ``reward``, the row's block fields as one
+        tuple (inst_regret, inst_s, inst_u, epoch), then the four running
+        totals."""
+        starts, *shared = self._blocks
+        ends = chain(starts[1:], (len(self._rows[0]),))
+        per_row = chain.from_iterable(map(repeat, zip(*shared), map(operator.sub, ends, starts)))
+        return (*self._rows[:5], per_row, *self._rows[5:])
 
     def summary(self) -> dict:
         return {
@@ -259,6 +342,42 @@ class RunTrace:
             "max_inst_u": self.max_inst_u,
             "agent": self.agent_meta,
         }
+
+
+def _record(t, group, price_index, accepted, reward, shared, cum_regret, cum_s, cum_u,
+            cum_reward) -> RoundRecord:
+    return RoundRecord(t, group, price_index, bool(accepted), reward, *shared[:3],
+                       cum_regret, cum_s, cum_u, cum_reward, shared[3])
+
+
+class _Records(Sequence):
+    """Read-only view of a :class:`RunTrace`'s kept rows: an index reads a
+    :class:`RoundRecord`, a slice a list of them."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: RunTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._rows[0])
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(n))]
+        k = operator.index(index)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("record index out of range")
+        starts, *shared = self._trace._blocks
+        block = bisect_right(starts, k) - 1
+        rows = [column[k] for column in self._trace._rows]
+        return _record(*rows[:5], tuple(column[block] for column in shared), *rows[5:])
+
+    def __iter__(self):
+        return map(_record, *self._trace._row_columns())
 
 
 _CSV_COLUMNS = RoundRecord._fields
@@ -282,16 +401,19 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
     file."""
     outcomes: dict[tuple, str] = {}
 
-    def line(r: RoundRecord) -> str:
-        key = (r[1], r[2], r[3], _FLOAT_BITS(r[4], r[5], r[6], r[7]))
+    def line(t, group, price_index, accepted, reward, shared, cum_regret, cum_s, cum_u,
+             cum_reward) -> str:
+        inst_regret, inst_s, inst_u, epoch = shared
+        key = (group, price_index, accepted, _FLOAT_BITS(reward, inst_regret, inst_s, inst_u))
         text = outcomes.get(key)
         if text is None:
-            text = outcomes[key] = _CSV_OUTCOME % r[1:8]
-        return _CSV_LINE % (r[0], text, r[8], r[9], r[10], r[11], r[12])
+            text = outcomes[key] = _CSV_OUTCOME % (group, price_index, accepted, reward,
+                                                   inst_regret, inst_s, inst_u)
+        return _CSV_LINE % (t, text, cum_regret, cum_s, cum_u, cum_reward, epoch)
 
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\r\n")
-        fh.writelines(map(line, trace.records))
+        fh.writelines(map(line, *trace._row_columns()))
 
 
 def write_summary_json(summary: dict, path: str) -> None:
@@ -384,7 +506,7 @@ def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int
         if inst_u > trace.max_inst_u:
             trace.max_inst_u = inst_u
         if t == 1 or t % record_every == 0 or t == horizon:
-            trace.records.append(RoundRecord(
+            trace.append(RoundRecord(
                 t, group, idx, accepted, reward, inst_regret, inst_s, inst_u,
                 trace.cum_regret, trace.cum_s, trace.cum_u, trace.cum_reward, epoch))
 
@@ -433,13 +555,8 @@ def _play_blocks(agent, market: MarketConfig, trace: RunTrace, record_every: int
         ends = [0] * (t == 0) + [n - 1] * (t + n == horizon)
         if ends:
             keep = np.union1d(keep, ends)
-        if keep.size:
-            columns = [(keep + t + 1).tolist()]
-            columns += [a[keep].tolist() for a in (groups, idx, accepted, reward)]
-            columns += [[x] * keep.size for x in (inst_regret, inst_s, inst_u)]
-            columns += [c[keep + 1].tolist() for c in cums]
-            columns.append([epoch] * keep.size)
-            trace.records.extend(map(RoundRecord._make, zip(*columns)))
+        trace._append_block([keep + t + 1, *(a[keep] for a in (groups, idx, accepted, reward)),
+                             *(c[keep + 1] for c in cums)], inst_regret, inst_s, inst_u, epoch)
         t += n
 
 

@@ -416,6 +416,49 @@ def test_compare_lb_checks_eps_before_any_episode(monkeypatch, capsys):
     assert "eps must lie in [0, 0.05]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,in_file,eps", [
+    ([], "", 0.01), ([], "environment.eps = 0.03\n", 0.03),
+    (["--eps", "0.02"], "environment.eps = 0.03\n", 0.02)])
+def test_compare_lb_takes_eps_from_the_flag_then_the_file(tmp_path, monkeypatch, capsys,
+                                                          flags, in_file, eps):
+    markets = []
+
+    def cells(payloads):
+        markets.append(payloads[0]["market_text"])
+        return [{"cum_regret": 1.0, "cum_s": 0.0} for _ in payloads]
+
+    monkeypatch.setattr("fairprice.cli._run_cells", cells)
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text(in_file)
+    assert main(["compare-lb", "--config", str(cfg), "-T", "100", "--seeds", "1",
+                 *flags]) == 0
+    assert f"perturbed (eps={eps})" in capsys.readouterr().out
+    assert markets == [market_to_text(example_eps_market(e)) for e in (0.0, eps)]
+
+
+@pytest.mark.parametrize("line", [
+    "environment.preset = example1", "environment.market_file = m.txt",
+    "environment.lb_j = 2", "environment.lb_d = 4"])
+def test_compare_lb_refuses_environment_keys_other_than_eps(tmp_path, monkeypatch, capsys,
+                                                            line):
+    """compare-lb always runs the example family, so a file that names
+    another market is an error, not a setting left unread."""
+    def no_cells(payloads):
+        raise AssertionError("episodes ran before the config was checked")
+
+    monkeypatch.setattr("fairprice.cli._run_cells", no_cells)
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text(f"environment.eps = 0.03\n{line}\n")
+    assert main(["compare-lb", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    key = line.split(" = ")[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: {key}: ")
+    cfg.write_text("environment.eps = small\n")
+    assert main(["compare-lb", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: environment.eps: "
+                                       "could not convert string to float: 'small'\n")
+
+
 # ---------------------------------------------------------------------------
 # top-level parser behavior
 # ---------------------------------------------------------------------------

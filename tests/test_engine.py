@@ -19,6 +19,7 @@ from fairprice import (
     baseline_agent,
     example1_market,
     example_eps_market,
+    lowerbound_family_market,
     run_episode,
     write_summary_json,
     write_trace_csv,
@@ -191,8 +192,8 @@ def _outputs(tmp_path, name, agent, market, horizon, seed, record_every):
 
 
 def _assert_same_bytes(tmp_path, horizon, record_every, agent_horizon=None, seed=0,
-                       mode="scaled"):
-    market = example1_market()
+                       mode="scaled", market=None):
+    market = market or example1_market()
     cfg = FpaConfig(grid=market.grid, q=market.q, horizon=agent_horizon or horizon,
                     seed=seed, constants_mode=mode)
     batched = FpaAgent(cfg, oracle_cfg=COARSE)
@@ -223,6 +224,19 @@ def test_engine_cuts_long_batches_into_blocks(tmp_path, monkeypatch):
     _assert_same_bytes(tmp_path, 5000, 7, seed=2)
 
 
+# A two-price market: the d <= 2 search path.
+TWO_PRICES = MarketConfig(PriceGrid(np.array([0.5, 1.0])),
+                          AcceptanceModel(np.array([0.8, 0.4]), np.array([0.9, 0.3])), q=0.4)
+
+
+@pytest.mark.parametrize("market", [TWO_PRICES, lowerbound_family_market(1, 4, 3000)],
+                         ids=["d2", "hard-d4"])
+def test_engine_writes_the_loops_bytes_at_other_grid_sizes(tmp_path, monkeypatch, market):
+    monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", 50)
+    agent = _assert_same_bytes(tmp_path, 1500, 7, market=market)
+    assert agent.epoch >= 3 and agent.ledger
+
+
 def test_engine_matches_the_loop_in_theory_mode(tmp_path):
     agent = _assert_same_bytes(tmp_path, 3000, 7, seed=1, mode="theory")
     assert agent.epoch >= 1
@@ -251,6 +265,43 @@ def test_fixed_policies_play_the_loops_bytes_in_blocks(tmp_path, monkeypatch, ki
     assert got[0] == want[0], "trace CSV differs"
     assert got[1] == want[1], "summary JSON differs"
     assert batched.propose_price(1) == reference.propose_price(1)
+
+
+class _CheckedBlocks:
+    """Forwards everything to the agent and checks each ``propose_batch``
+    call against the engine's block cap, keeping the block sizes."""
+
+    def __init__(self, agent):
+        self._agent = agent
+        self.sizes = []
+
+    def propose_batch(self, groups):
+        assert 0 < groups.size <= fairprice.sim.MAX_BLOCK_ROUNDS
+        self.sizes.append(groups.size)
+        return self._agent.propose_batch(groups)
+
+    def __getattr__(self, name):
+        return getattr(self._agent, name)
+
+
+@pytest.mark.parametrize("kind", ["fpa", "fair_oracle"])
+def test_block_cap_cuts_blocks_not_bytes(tmp_path, monkeypatch, kind):
+    """Every kept row at the old cap of 65,536 rounds and at the current one,
+    in an episode of several blocks that the current cap cuts."""
+    cap, horizon, market = fairprice.sim.MAX_BLOCK_ROUNDS, 40_000, example1_market()
+
+    def play(name, max_block):
+        monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", max_block)
+        agent = _CheckedBlocks(_agent(horizon, seed=1) if kind == "fpa"
+                               else baseline_agent(kind, market, seed=1))
+        return _outputs(tmp_path, name, agent, market, horizon, 1, 1), agent.sizes
+
+    old, old_sizes = play("old", 65_536)
+    new, new_sizes = play("new", cap)
+    assert new[0] == old[0], "trace CSV differs"
+    assert new[1] == old[1], "summary JSON differs"
+    assert sum(new_sizes) == horizon and len(new_sizes) >= 3
+    assert max(new_sizes) == cap < max(old_sizes)
 
 
 def test_engine_refuses_rounds_past_the_agents_horizon():

@@ -1,6 +1,8 @@
 """Episode runner, built-in markets, hard-instance family, and baselines."""
 
+import collections.abc
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fairprice.sim
 from fairprice import (
@@ -263,7 +266,7 @@ def test_round_record_is_a_read_only_record_by_name(example_market):
     rounds = run_episode(baseline_agent("best_fixed", example_market), example_market,
                          30, seed=0, record_every=10, oracle_revenue=R_STAR)
     for trace in (batched, rounds):
-        assert isinstance(trace.records, list)
+        assert isinstance(trace.records, collections.abc.Sequence)
         assert all(isinstance(r, RoundRecord) for r in trace.records)
     last = rounds.records[-1]
     assert (last.t, last.price_index, last.epoch) == (30, 2, 0)
@@ -271,6 +274,71 @@ def test_round_record_is_a_read_only_record_by_name(example_market):
     with pytest.raises(AttributeError):
         last.t = 31
     assert batched.records[-1].t == 40
+
+
+def test_kept_rows_are_columns_not_objects(example_market, example_closed_form):
+    """A per-round trace holds its rows in arrays: the garbage collector
+    tracks a handful of new objects, not one per row."""
+    def play(horizon):
+        agent = baseline_agent("fair_oracle", example_market, seed=0,
+                               policy=example_closed_form.policy)
+        return run_episode(agent, example_market, horizon, seed=0, oracle_revenue=R_STAR)
+
+    play(100)  # imports and set-up that a first episode triggers
+    before = len(gc.get_objects())
+    trace = play(50_000)
+    assert len(gc.get_objects()) - before < 1_000
+    assert len(trace.records) == 50_000 and trace.records[-1].t == 50_000
+
+
+_FIELD_TYPES = (int, int, int, bool) + (float,) * 8 + (int,)
+_ints = st.integers(-2**63, 2**63 - 1)
+_floats = st.floats(allow_nan=False)
+_row = st.tuples(_ints, _ints, _ints, st.booleans(), *[_floats] * 5)
+_shared = st.tuples(_floats, _floats, _floats, _ints)
+
+
+@given(st.lists(st.one_of(st.tuples(st.just("row"), _row, _shared),
+                          st.tuples(st.just("block"), st.lists(_row, max_size=6), _shared)),
+                max_size=8),
+       st.integers(-40, 40), st.integers(-40, 40), st.integers(-3, 3).filter(bool))
+def test_records_view_reads_the_rows_as_appended(adds, start, stop, step):
+    """The view against a list built row by row, from rows added one at a
+    time and in blocks that share their instant metrics and epoch."""
+    trace, want = RunTrace(horizon=1, seed=0, oracle_revenue=0.5), []
+    for kind, rows, (inst_regret, inst_s, inst_u, epoch) in adds:
+        block = [RoundRecord(*row[:5], inst_regret, inst_s, inst_u, *row[5:], epoch)
+                 for row in (rows if kind == "block" else [rows])]
+        if kind == "row":
+            trace.append(block[0])
+        else:  # a row holds the row columns in their order; a block may be empty
+            columns = [np.array(column) for column in zip(*rows)] or [np.empty(0)] * 9
+            trace._append_block(columns, inst_regret, inst_s, inst_u, epoch)
+        want += block
+    records = trace.records
+    assert len(records) == len(want) and bool(records) == bool(want)
+    assert list(records) == want
+    for record in records:
+        assert tuple(map(type, record)) == _FIELD_TYPES
+    for k in range(-len(want), len(want)):
+        assert records[k] == want[k]
+    for k in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            records[k]
+    assert records[start:stop:step] == want[start:stop:step]
+    assert records[::-1] == want[::-1]
+
+
+@pytest.mark.parametrize("field,value", [("t", 1.5), ("epoch", 2**63), ("inst_s", "0.1"),
+                                         ("cum_reward", None)])
+def test_a_rejected_row_leaves_the_trace_as_it_was(field, value):
+    trace = RunTrace(horizon=2, seed=0, oracle_revenue=0.5)
+    first = RoundRecord(1, 1, 0, True, 0.5, 0.1, 0.0, 0.0, 0.1, 0.0, 0.0, 0.5, 0)
+    trace.append(first)
+    with pytest.raises((TypeError, OverflowError)):
+        trace.append(first._replace(t=2, **{field: value}))
+    trace.append(first._replace(t=3, inst_regret=0.2))
+    assert list(trace.records) == [first, first._replace(t=3, inst_regret=0.2)]
 
 
 def test_csv_header_and_row_format_cover_every_field():
@@ -314,7 +382,7 @@ def _edge_trace() -> RunTrace:
     trace = RunTrace(horizon=len(EDGE_FLOATS), seed=0, oracle_revenue=0.5)
     for k in range(len(EDGE_FLOATS)):
         floats = [EDGE_FLOATS[(k + j) % len(EDGE_FLOATS)] for j in range(8)]
-        trace.records.append(RoundRecord(
+        trace.append(RoundRecord(
             np.int64(k + 1) if k % 2 else k + 1, 1 + k % 2, np.int64(k % 3),
             np.bool_(k % 3 == 0) if k % 2 else k % 3 == 0, np.float64(floats[0]),
             *floats[1:], 10**12 + k))
@@ -332,8 +400,8 @@ def _repeated_outcome_trace() -> RunTrace:
                 (2, 2, False, -0.0, np.float64(nan), 1e-300, 0.0)]
     trace = RunTrace(horizon=3 * len(outcomes), seed=0, oracle_revenue=0.5)
     for k in range(trace.horizon):
-        trace.records.append(RoundRecord(k + 1, *outcomes[k % len(outcomes)],
-                                         0.1 * k, 0.0, -0.0, 0.5 * k, k // 4))
+        trace.append(RoundRecord(k + 1, *outcomes[k % len(outcomes)],
+                                 0.1 * k, 0.0, -0.0, 0.5 * k, k // 4))
     return trace
 
 
