@@ -75,7 +75,8 @@ PRESETS = ("example1", "example-eps", "lowerbound")
 
 def load_config_file(path: str) -> dict[str, str]:
     """Parse a flat ``key = value`` file with '#' comments into a dict.  A
-    line without '=' or a key outside ``CONFIG_KEYS`` raises ValueError."""
+    line without '=', a key outside ``CONFIG_KEYS`` or a repeated key raises
+    ValueError."""
     settings: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -87,6 +88,8 @@ def load_config_file(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in settings:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             settings[key] = value
     return settings
 
@@ -199,7 +202,7 @@ def _parse_emit(spec: str) -> set[str]:
 def _build_market(settings: dict, horizon: Optional[int] = None) -> MarketConfig:
     if settings["environment.market_file"] is not None:
         with open(settings["environment.market_file"], "r", encoding="utf-8") as fh:
-            return market_from_text(fh.read())
+            return market_from_text(fh.read(), fh.name)
     if settings["environment.preset"] == "example1":
         return example1_market()
     if settings["environment.preset"] == "example-eps":

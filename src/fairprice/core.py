@@ -15,6 +15,14 @@ group ``e`` who actually accept.
 
 It also holds :class:`RandomStream`, the seeded random streams an episode
 draws from, one value at a time or in blocks, with the same values.
+
+The tolerance chain (:mod:`fairprice.linsolve`, then :mod:`fairprice.oracle`)
+ends here: :meth:`GroupDistribution.renormalized` turns a search's weights
+into a policy.  It clips to zero the weights down to ``-FEAS_TOL``, as
+negative as :func:`~fairprice.linsolve.lp_maximize` may return, and
+rescales, so a result moves by rounding only.  ``ROUNDING_TOL`` is the room
+every check here gives an order-one value for rounding: a weight sum off
+one, a curve rising, a curve under its floor.
 """
 
 from __future__ import annotations
@@ -26,12 +34,8 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-# Tolerance for "weights sum to one" checks on distributions.
-SIMPLEX_TOL = 1e-12
-# Tolerance for the nonincreasing check on acceptance curves.
-MONOTONE_TOL = 1e-12
-# Most negative weight GroupDistribution.renormalized clips to zero.
-RENORMALIZE_CLIP_TOL = 1e-9
+from .linsolve import FEAS_TOL, ROUNDING_TOL
+
 # Default floor on acceptance probabilities (keeps accepted means well defined).
 DEFAULT_F_MIN = 0.05
 
@@ -155,17 +159,17 @@ class GroupDistribution:
         w = self.weights
         if np.any(w < 0.0) or np.any(w > 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL}, got {w.sum()!r}")
+        if abs(float(w.sum()) - 1.0) > ROUNDING_TOL:
+            raise ValueError(f"weights must sum to 1 within {ROUNDING_TOL}, got {w.sum()!r}")
 
     @classmethod
     def renormalized(cls, weights) -> "GroupDistribution":
         """Build from near-feasible weights: clip negatives down to
-        ``-RENORMALIZE_CLIP_TOL`` to zero and rescale to unit sum.  Rejects
-        anything worse."""
+        ``-FEAS_TOL`` to zero and rescale to unit sum.  Rejects anything
+        worse."""
         w = np.asarray(weights, dtype=float)
-        if np.any(w < -RENORMALIZE_CLIP_TOL):
-            raise ValueError(f"weights more negative than -{RENORMALIZE_CLIP_TOL} "
+        if np.any(w < -FEAS_TOL):
+            raise ValueError(f"weights more negative than -{FEAS_TOL} "
                              "cannot be renormalized")
         w = np.clip(w, 0.0, None)
         total = float(w.sum())
@@ -241,9 +245,9 @@ class AcceptanceModel:
         for name, f in (("group1", self.group1), ("group2", self.group2)):
             if np.any(f <= 0.0) or np.any(f > 1.0):
                 raise ValueError(f"{name} acceptance probabilities must lie in (0, 1]")
-            if np.min(f) < self.f_min - 1e-12:
+            if np.min(f) < self.f_min - ROUNDING_TOL:
                 raise ValueError(f"{name} dips below the floor f_min={self.f_min}")
-            if not self.estimated and np.any(np.diff(f) > MONOTONE_TOL):
+            if not self.estimated and np.any(np.diff(f) > ROUNDING_TOL):
                 raise ValueError(f"{name} must be nonincreasing in the price")
 
     @classmethod
@@ -364,15 +368,17 @@ def market_to_text(market: MarketConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def market_from_text(text: str) -> MarketConfig:
-    """Parse the format written by :func:`market_to_text`."""
+def market_from_text(text: str, source: str = "<market text>") -> MarketConfig:
+    """Parse the format written by :func:`market_to_text`.  A repeated key
+    raises ValueError naming ``source`` (the file name) and the line."""
     fields: dict[str, list[str]] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, *rest = line.split()
-        fields[key] = rest
+        if fields.setdefault(key, rest) is not rest:
+            raise ValueError(f"{source}:{lineno}: repeated key {key!r}")
     try:
         d = int(fields["d"][0])
         q = float(fields["q"][0])

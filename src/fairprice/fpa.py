@@ -361,7 +361,7 @@ class FpaAgent:
         run_len = min(self._params.tau, remaining)
         self._epoch_truncated = run_len < self._params.tau
 
-        keep_threshold = 1.0 / math.sqrt(self.cfg.horizon) - 1e-12
+        keep_threshold = 1.0 / math.sqrt(self.cfg.horizon)
         active: list[PolicyPair] = []
         seen: set[tuple] = set()
         if not self.ledger.entries:

@@ -7,6 +7,14 @@ bases with Bland's rule, the other solves every square subsystem of active
 constraints and keeps the feasible maximum.  Problems here are tiny (a few
 variables), so clarity wins over sparsity tricks.  numpy arrays hold the
 tableau and do its row arithmetic; the choice of every pivot is explicit.
+
+The tolerance chain starts here.  :func:`lp_maximize` guarantees that an
+OPTIMAL x meets every row within ``FEAS_TOL``, in the row's own units, and
+has x >= -``FEAS_TOL``; no tighter, since phase 1 accepts artificials
+summing to ``FEAS_TOL`` and pivots at or below ``PIVOT_TOL`` count as zero.
+The oracle's docstring takes the chain on to ledger membership.
+``ROUNDING_TOL`` is kept here too: the rounding room that the other
+modules' checks of order-one values share.
 """
 
 from __future__ import annotations
@@ -21,6 +29,10 @@ import numpy as np
 PIVOT_TOL = 1e-10
 # Constraint violations up to this are accepted when classifying feasibility.
 FEAS_TOL = 1e-9
+# Rounding room of comparisons of order-one values elsewhere in the package
+# (weights, their sums, acceptance probabilities, the walk's position): a
+# value this close to its bound meets it.
+ROUNDING_TOL = 1e-12
 # Capacity guards; everything in this package is low-dimensional by design.
 MAX_SOLVE_N = 64
 MAX_LP_VARS = 16

@@ -23,10 +23,25 @@ optimum at each ``v_s`` only where it clears every band, exactly along
 ``v_s``, so a ``v_s`` is lost when its optimum fails an older band even if
 another policy there would pass.  That is the approximation that remains.
 
-Each constraint is built once, at its stated value; ``MEMBER_TOL`` is slack
-only where membership is tested (:func:`member`, the walk's band filter,
-hand-picked candidates), so every policy a search returns is a member of the
-ledger it was searched under, with room for renormalization's rounding.
+The tolerance chain, from :mod:`fairprice.linsolve` (each LP row held to
+``FEAS_TOL``) to :mod:`fairprice.core` (weights renormalized by rounding):
+
+* :func:`member` allows ``MEMBER_TOL`` on the gap of proposed means and,
+  per snapshot, on the band (in accepted-mean units) and on the floor;
+* each constraint is built once, at its stated value, and ``MEMBER_TOL`` is
+  slack only where membership is tested: the scan folds every snapshot
+  exactly; the walk holds floors and equal means as LP rows (to
+  ``FEAS_TOL`` <= ``MEMBER_TOL``, in those units), checks each snapshot's
+  band along ``v_s`` with half ``MEMBER_TOL`` of room and screens every
+  vertex it keeps with member's own test; hand-picked candidates take that
+  test too.  So a search's result is a member of the ledger it was searched
+  under;
+* the one link that does not hold yet is the walk's current band, which
+  is no snapshot yet but becomes the next one: an LP row in numerator
+  units, held to ``FEAS_TOL`` there, so in accepted-mean units it can miss
+  by ``FEAS_TOL`` over group 2's acceptance mass.  Seed 133 of ROADMAP
+  item 4's episodes (d = 6) shows it: epoch 3's incumbent misses its own
+  snapshot's band by 1.69e-9.  Mending it is left to that item.
 """
 
 from __future__ import annotations
@@ -38,7 +53,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
-    MONOTONE_TOL,
     AcceptanceModel,
     GroupDistribution,
     MarketConfig,
@@ -47,7 +61,7 @@ from .core import (
     expected_revenue,
     fixed_price_policy,
 )
-from .linsolve import MAX_LP_VARS, OPTIMAL, LinearProgram, lp_maximize
+from .linsolve import FEAS_TOL, MAX_LP_VARS, OPTIMAL, ROUNDING_TOL, LinearProgram, lp_maximize
 
 # Slack of every ledger membership test (search constraints carry none).
 MEMBER_TOL = 1e-9
@@ -66,14 +80,19 @@ _FIT_VANDER = np.vander(_FIT_NODES)
 # Revenue's weight in the anchor LP, so ties on a probe's weight go to revenue
 # as in _select_best; it can cost the objective at most 1e-7.
 _REVENUE_TIE = 1e-7
-_DET_TOL = 1e-13
-_NONNEG_TOL = 1e-12
 # The walk re-solves a candidate point unless its fitted value is this far
 # below the best re-solved value (see _search_lp).
 _RESOLVE_MARGIN = TIE_TOL
 # Where |D| is below this share of its largest coefficient, a fitted value
 # N / D is not trusted and the point is always re-solved.
 _FIT_DEN_TOL = 1e-3
+# A fitted polynomial's coefficients below this share of its largest, and
+# its values at most this share, are rounding noise: leading coefficients are
+# dropped before its roots are found, a polynomial of such coefficients alone
+# is zero, and where D is this small the basis is singular and offers no point.
+_FIT_NOISE = 1e-10
+# A root whose imaginary part is at most this is real.
+_REAL_IMAG = 1e-7
 
 
 @dataclass(frozen=True)
@@ -196,8 +215,9 @@ class EliminationLedger:
 
 def _clears_ledger(v: np.ndarray, q: float, entries: Sequence[LedgerEntry],
                    w1: np.ndarray, w2: np.ndarray) -> bool:
-    """True when the weights clear every snapshot's band and floor, each
-    with MEMBER_TOL to spare."""
+    """Membership by weights: True when the groups' proposed means are equal
+    and the weights clear every snapshot's band and floor, each with
+    MEMBER_TOL to spare."""
     for entry in entries:
         f1, f2 = entry.fhat.group1, entry.fhat.group2
         num1, num2 = float(w1 @ (v * f1)), float(w2 @ (v * f2))
@@ -205,7 +225,7 @@ def _clears_ledger(v: np.ndarray, q: float, entries: Sequence[LedgerEntry],
         revenue = q * num1 + (1.0 - q) * num2
         if abs(gap) > entry.delta_s + MEMBER_TOL or revenue < entry.revenue_floor - MEMBER_TOL:
             return False
-    return True
+    return abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL
 
 
 def member(policy: PolicyPair, ledger: EliminationLedger) -> bool:
@@ -213,8 +233,7 @@ def member(policy: PolicyPair, ledger: EliminationLedger) -> bool:
     fairness band and revenue floor of every ledger snapshot."""
     v = ledger.grid.prices
     w1, w2 = policy.group1.weights, policy.group2.weights
-    return (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL
-            and _clears_ledger(v, ledger.q, ledger.entries, w1, w2))
+    return _clears_ledger(v, ledger.q, ledger.entries, w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +257,11 @@ def _pin_cells(v, f, vs_vals, lo, span, axis):
     proposed mean vr: pi = a + vr * b, rows a, b of shape (nvs, 3) (nan where
     singular); and, as _Cells, the cells of vr[r, j] = vs[r] + (lo[r] +
     axis[j] * span[r]) (span >= 0, axis ascending) whose weights all pass >=
-    -_NONNEG_TOL.  vr and every rounding are monotone in j, so a row admits
+    -ROUNDING_TOL.  vr and every rounding are monotone in j, so a row admits
     one interval [first, end): guessed from the real crossings, then stepped
     while the test, evaluated beside each end as on the whole grid, says so."""
     p, s, det = _adjugate_cols(v, (v[None, :] - vs_vals[:, None]) * f[None, :])
-    det = np.where(np.abs(det) > _DET_TOL, det, np.nan)[:, None]
+    det = np.where(np.abs(det) > ROUNDING_TOL, det, np.nan)[:, None]
     a, b = p / det, s / det
     # Weights lead and rows run along the last axis, the long one.
     n, ak, bk = axis.size, np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
@@ -250,11 +269,11 @@ def _pin_cells(v, f, vs_vals, lo, span, axis):
 
     def passes(j):  # each weight's test at cells (r, j[i, r]): shape (3,) + j.shape
         vr = vs_vals + (lo + axis.take(j, mode="clip") * span)
-        return vr * bk[:, None] + ak[:, None] >= -_NONNEG_TOL
+        return vr * bk[:, None] + ak[:, None] >= -ROUNDING_TOL
 
     # A rising weight passes from its crossing on, another up to it; a flat or
     # nan one, or any on a zero-span row, passes at every j or at none.
-    t = ((-_NONNEG_TOL - ak) / bk - vs_vals - lo) / span
+    t = ((-ROUNDING_TOL - ak) / bk - vs_vals - lo) / span
     decided = ~(up | (bk < 0.0)) | (span == 0.0)
     if decided.any():
         col0 = passes(np.zeros((1, span.size), int))[:, 0]
@@ -292,13 +311,13 @@ def _tighten(a, b, t_lo, t_hi, feas) -> None:
     masks.  Division by a zero slope is masked out, so the scan runs this
     under np.errstate."""
     if np.ndim(b) == 0:
-        up, down = bool(b > _DET_TOL), bool(b < -_DET_TOL)
+        up, down = bool(b > ROUNDING_TOL), bool(b < -ROUNDING_TOL)
         if not (up or down):
-            feas &= a <= _NONNEG_TOL
+            feas &= a <= ROUNDING_TOL
             return
     else:
-        up, down = b > _DET_TOL, b < -_DET_TOL
-        feas &= up | down | (a <= _NONNEG_TOL)
+        up, down = b > ROUNDING_TOL, b < -ROUNDING_TOL
+        feas &= up | down | (a <= ROUNDING_TOL)
     cand = np.divide(a, b, out=a)
     np.negative(cand, out=cand)
     np.fmin(t_hi, cand, out=t_hi, where=up)
@@ -317,7 +336,7 @@ class _Cells:
         """Drop the cells whose segment is infeasible or empty, in place.
         t_lo only rises, t_hi only falls and feas only clears, so no dropped
         cell could come back."""
-        alive = feas & (self.t_lo <= self.t_hi + _NONNEG_TOL)
+        alive = feas & (self.t_lo <= self.t_hi + ROUNDING_TOL)
         self.vr, self.rows, self.t_lo, self.t_hi = (
             x[alive] for x in (self.vr, self.rows, self.t_lo, self.t_hi))
 
@@ -441,7 +460,7 @@ def _search_d3(v, f1, f2, q, delta, entries, specs, cfg: OracleConfig) -> list[O
     axis shared by its rows.  Objectives whose rows sit at the same
     (v_s, alpha) share their refine window."""
     vs0 = np.unique(np.concatenate([np.linspace(v[0], v[-1], cfg.grid_steps_vs), v]))
-    lo = -(vs0 - v[0]) if np.any(np.diff(f1) > MONOTONE_TOL) else np.zeros_like(vs0)
+    lo = -(vs0 - v[0]) if np.any(np.diff(f1) > ROUNDING_TOL) else np.zeros_like(vs0)
     fracs = np.linspace(0.0, 1.0, cfg.grid_steps_alpha)
     rows = _scan_d3(v, f1, f2, q, delta, entries, vs0, lo, v[-1] - vs0 - lo, fracs, specs)
     d_vs = (v[-1] - v[0]) / (cfg.grid_steps_vs - 1)
@@ -491,7 +510,7 @@ class _Rows(NamedTuple):
     def active(self, x: np.ndarray) -> np.ndarray:
         """Rows active at x: equalities, inequalities without slack."""
         a, b, n = self.a, self.b, self.n_eq
-        return np.concatenate([np.arange(n), n + np.flatnonzero(b[n:] - a[n:] @ x <= _NONNEG_TOL)])
+        return np.concatenate([np.arange(n), n + np.flatnonzero(b[n:] - a[n:] @ x <= ROUNDING_TOL)])
 
     def basis_point(self, rows, cols) -> np.ndarray:
         """The basic solution of a basis: its rows solved over its columns,
@@ -505,7 +524,7 @@ class _Rows(NamedTuple):
         the same bits whatever the pivots or the rows that do not bind there
         (a wider band), so the relaxed optimum cannot dip by rounding as it
         grows."""
-        active, support = self.active(x), x > _NONNEG_TOL
+        active, support = self.active(x), x > ROUNDING_TOL
         out = np.zeros_like(x)
         out[support] = np.linalg.lstsq(self.a[active][:, support], self.b[active], rcond=None)[0]
         return out
@@ -578,7 +597,7 @@ def _phase1(rows: _Rows, d: int, n_floors: int) -> _Rows:
 def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The real roots in [lo, hi] of every row of polys (highest degree
     first), pooled and sorted.  Each row loses its leading coefficients
-    below 1e-10 of its largest (rounding noise) and is then solved as
+    below _FIT_NOISE of its largest (rounding noise) and is then solved as
     np.roots solves it: exact trailing zeros are roots at 0, the rest are
     the eigenvalues of the companion matrix.  The companions of one degree
     go to LAPACK in one stack, each the matrix np.roots would build, so the
@@ -587,7 +606,7 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
         return np.empty(0)
     size = polys.shape[1]
     mag = np.abs(polys)
-    big = mag > 1e-10 * np.max(mag, axis=1, initial=0.0, keepdims=True)
+    big = mag > _FIT_NOISE * np.max(mag, axis=1, initial=0.0, keepdims=True)
     first = np.argmax(big, axis=1)
     last = size - 1 - np.argmax(polys[:, ::-1] != 0.0, axis=1)
     solved = big.any(axis=1) & (first < size - 1)
@@ -602,7 +621,7 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
         comp[:, 0] = -p[:, head + 1:tail + 1] / p[:, head, None]
         roots.append(np.linalg.eigvals(comp).ravel())
     roots = np.concatenate(roots)
-    roots = roots.real[np.abs(roots.imag) <= 1e-7]
+    roots = roots.real[np.abs(roots.imag) <= _REAL_IMAG]
     return np.sort(roots[(roots >= lo) & (roots <= hi)])
 
 
@@ -661,7 +680,7 @@ def _basis_span(nodes: _Rows, rows, cols):
     rounding noise and their real roots on [-1, 1]."""
     coef = _fit_basis(nodes, rows, cols)
     scale = np.max(np.abs(coef[:, 0]))
-    live = np.flatnonzero(np.max(np.abs(coef), axis=0) > 1e-11 * scale)
+    live = np.flatnonzero(np.max(np.abs(coef), axis=0) > _FIT_NOISE * scale)
     return coef, scale, live, _real_roots(coef[:, live].T, -1.0, 1.0)
 
 
@@ -674,9 +693,10 @@ def _follow_basis(nodes: _Rows, spans: dict, here: _Rows, x: np.ndarray, u0: flo
     set of nodes: spans (basis -> _basis_span) keeps the fits of earlier
     calls, so a revisit only checks D's sign at u0, the stretch around u0
     and the midpoints.  Zero polynomials (a flat objective's reduced costs)
-    set no bound."""
+    set no bound.  A basis holds where its fitted weights, slacks, reduced
+    costs and duals are >= -FEAS_TOL, the room lp_maximize's answers have."""
     n_eq, active = here.n_eq, list(here.active(x))
-    support = list(np.flatnonzero(x > _NONNEG_TOL))
+    support = list(np.flatnonzero(x > ROUNDING_TOL))
     spare = [(j, None) for j in range(x.size) if j not in support]
     spare += [(None, i) for i in active[n_eq:]]
     for extra in itertools.combinations(spare, max(len(active) - len(support), 0)):
@@ -689,12 +709,12 @@ def _follow_basis(nodes: _Rows, spans: dict, here: _Rows, x: np.ndarray, u0: flo
             spans[key] = _basis_span(nodes, rows, cols)
         coef, scale, live, roots = spans[key]
         d0 = np.polyval(coef[:, 0], u0)
-        if abs(d0) <= 1e-9 * scale:
+        if abs(d0) <= _FIT_NOISE * scale:
             continue
-        upper = np.min(roots[roots > u0 + 1e-12], initial=1.0)
+        upper = np.min(roots[roots > u0 + ROUNDING_TOL], initial=1.0)
         lower = np.max(roots[roots < u0], initial=-1.0)
         vals = np.vander([0.5 * (lower + u0), 0.5 * (u0 + upper)], _FIT_NODES.size) @ coef
-        holds = np.all(np.sign(d0) * vals[:, live[1:]] >= -1e-9 * np.abs(vals[:, :1]), axis=1)
+        holds = np.all(np.sign(d0) * vals[:, live[1:]] >= -FEAS_TOL * np.abs(vals[:, :1]), axis=1)
         if holds[1]:
             return (lower if holds[0] else u0), upper, rows, cols, coef
     return None
@@ -749,7 +769,7 @@ def _basis_points(v, entries, coef, cols, lo, hi, objectives):
     inside = np.any((stationary[:, None] >= starts) & (stationary[:, None] <= ends), axis=1)
     points = np.unique(np.concatenate([starts, ends, stationary[inside]]))
     scale, at = np.max(np.abs(den)), np.polyval(den, points)
-    keep = np.abs(at) > 1e-9 * scale
+    keep = np.abs(at) > _FIT_NOISE * scale
     points, at = points[keep], at[keep]
     return points, np.where(np.abs(at) >= _FIT_DEN_TOL * scale,
                             np.polyval(nums[0], points) / at, np.inf)
@@ -838,8 +858,7 @@ def _explicit_rows(v, f1, f2, q, delta, entries, policies) -> list[_Row]:
     for w1, w2, fixed in policies:
         row = _row_from_weights(v, f1, f2, q, 0.0, float((v * f1) @ w1) / float(f1 @ w1),
                                 w1, w2, fixed)
-        if (abs(float(v @ w1 - v @ w2)) <= MEMBER_TOL and abs(row.point.beta) <= delta + MEMBER_TOL
-                and _clears_ledger(v, q, entries, w1, w2)):
+        if abs(row.point.beta) <= delta + MEMBER_TOL and _clears_ledger(v, q, entries, w1, w2):
             rows.append(row)
     return rows
 

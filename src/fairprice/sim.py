@@ -42,7 +42,7 @@ from .core import (
     procedural_gap,
     substantive_gap,
 )
-from .linsolve import solve_linear_system
+from .linsolve import ROUNDING_TOL, solve_linear_system
 from .oracle import solve_fair_optimal
 
 BASELINE_KINDS = ("best_fixed", "ucb_fixed", "fair_oracle", "group_oracle")
@@ -194,7 +194,7 @@ def alpha_bounds(eps: float, v_s: float) -> AlphaBounds:
     b4 = e3 * (8.0 * v_s - 5.0) * (1.0 - v_s) / (e3 * 8.0 * v_s - 80.0 * eps)
     lower = max(0.0, b2, b3)
     upper = min(b1, b4)
-    return AlphaBounds(lower, upper, lower <= upper + 1e-15, b1, b2, b3, b4)
+    return AlphaBounds(lower, upper, lower <= upper + ROUNDING_TOL, b1, b2, b3, b4)
 
 
 def eps_family_policy(eps: float, v_s: float, alpha: float) -> PolicyPair:

@@ -236,6 +236,21 @@ def test_config_file_syntax_errors_are_reported(tmp_path, capsys):
     assert "broken.cfg:1" in err
 
 
+def test_repeated_keys_are_errors(tmp_path, capsys):
+    """A key given twice stops the command instead of the last one silently
+    winning, in a config file and in a market file."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("run.horizon = 1000\n# again\nrun.horizon = 2000\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: repeated key 'run.horizon'\n"
+    market, text = tmp_path / "market.txt", market_to_text(example_eps_market(0.02))
+    for key in ("q", "prices"):
+        line = next(ln for ln in text.splitlines() if ln.startswith(key + " "))
+        market.write_text(text + line + "\n")
+        assert main(["solve", "--market", str(market)]) == 2
+        assert capsys.readouterr().err == f"error: {market}:8: repeated key '{key}'\n"
+
+
 def test_config_file_unknown_keys_are_errors(tmp_path, capsys):
     """A misspelt key stops the command instead of leaving its setting at the
     default."""

@@ -126,6 +126,9 @@ def test_acceptance_model_monotonicity_and_floor():
         AcceptanceModel(np.array([0.5, 0.01]), np.array([0.8, 0.7]))  # below floor
     with pytest.raises(ValueError):
         AcceptanceModel(np.array([0.5, 0.4]), np.array([0.8, 0.7]), f_min=0.0)
+    # a rise, or a dip under the floor, by rounding alone (5.6e-17) is none
+    AcceptanceModel(np.array([0.3, 0.1 + 0.2]), np.array([0.8, 0.7]))
+    AcceptanceModel(np.array([0.7, 0.3]), np.array([0.8, 0.7]), f_min=0.1 + 0.2)
     # estimates from counts may be non-monotone, but stay above the floor
     est = AcceptanceModel.from_estimates(np.array([0.5, 0.6]),
                                          np.array([0.8, 0.7]), f_min=0.05)
@@ -346,6 +349,17 @@ def test_market_text_tolerates_comments_and_blank_lines():
 def test_market_text_rejects_malformed_input(mangle):
     with pytest.raises(ValueError):
         market_from_text(mangle(market_to_text(example1_market())))
+
+
+@pytest.mark.parametrize("key", ["q", "prices"])
+def test_market_text_rejects_a_repeated_key(key):
+    """A second ``q`` or ``prices`` line is an error, not a silent override."""
+    text = market_to_text(example1_market())
+    line = next(ln for ln in text.splitlines() if ln.startswith(key + " "))
+    with pytest.raises(ValueError, match=rf"^<market text>:8: repeated key '{key}'$"):
+        market_from_text(text + line + "\n")
+    with pytest.raises(ValueError, match=rf"^m\.txt:9: repeated key '{key}'$"):
+        market_from_text(text + "\n" + line, "m.txt")
 
 
 _TEXT_KEYS = ("d", "q", "f_min", "prices", "accept1", "accept2", "#", "x")

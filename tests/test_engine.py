@@ -26,6 +26,7 @@ from fairprice import (
 )
 from fairprice.core import RandomStream, cumulative_weights, stream_seed
 from fairprice.fpa import ProtocolError, warmup_length
+from test_oracle import _random_market
 
 R_STAR = 74.0 / 145.0
 # Coarse agent searches: the engine's output identity does not depend on the
@@ -229,11 +230,17 @@ TWO_PRICES = MarketConfig(PriceGrid(np.array([0.5, 1.0])),
                           AcceptanceModel(np.array([0.8, 0.4]), np.array([0.9, 0.3])), q=0.4)
 
 
-@pytest.mark.parametrize("market", [TWO_PRICES, lowerbound_family_market(1, 4, 3000)],
-                         ids=["d2", "hard-d4"])
-def test_engine_writes_the_loops_bytes_at_other_grid_sizes(tmp_path, monkeypatch, market):
+@pytest.mark.parametrize("market, horizon, seed", [
+    (TWO_PRICES, 1500, 0),
+    (lowerbound_family_market(1, 4, 3000), 1500, 0),
+    # the fuzzed markets of seeds 4 and 7 (d = 1 + s % 8), played with seed s
+    (_random_market(np.random.default_rng(10004), 5), 2000, 4),
+    (_random_market(np.random.default_rng(10007), 8), 2000, 7),
+], ids=["d2", "hard-d4", "d5", "d8"])
+def test_engine_writes_the_loops_bytes_at_other_grid_sizes(tmp_path, monkeypatch, market,
+                                                           horizon, seed):
     monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", 50)
-    agent = _assert_same_bytes(tmp_path, 1500, 7, market=market)
+    agent = _assert_same_bytes(tmp_path, horizon, 7, seed=seed, market=market)
     assert agent.epoch >= 3 and agent.ledger
 
 

@@ -2,8 +2,9 @@
 every module-level private name is referenced somewhere in the package,
 every public function and class is read in the package or exported, no
 cache outlives a call (no module-level dict, list or set but ``__all__``,
-no ``functools`` cache), and no random generator or lock is shared (none at
-module level, no ``ctypes``)."""
+no ``functools`` cache), no random generator or lock is shared (none at
+module level, no ``ctypes``), and every tolerance of the algorithm modules
+is a named module-level constant."""
 
 from __future__ import annotations
 
@@ -222,3 +223,33 @@ def test_the_check_catches_a_shared_generator():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_generator_or_lock_is_shared(path):
     assert shared_generators(path.read_text()) == []
+
+
+# The modules of the algorithm, whose tolerances each carry a name.
+_ALGORITHM_MODULES = ("core.py", "linsolve.py", "oracle.py", "fpa.py", "sim.py")
+
+
+def unnamed_tolerances(source: str) -> list[tuple[int, float]]:
+    """(line, value) of each float literal with 0 < |x| < 1e-5 outside a
+    module-level assignment: a tolerance used where it is needed, with no
+    name to tie it to the others.  Walks the AST, so docstrings and
+    comments do not count."""
+    tree = ast.parse(source)
+    named = {id(node) for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             for node in ast.walk(stmt)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0.0 < abs(node.value) < 1e-5 and id(node) not in named]
+
+
+def test_the_check_catches_an_unnamed_tolerance():
+    source = ('"""Rounds to 1e-9."""\nTOL = 1e-9  # 1e-12 in a comment\n'
+              "_PAIR: tuple = (1e-7, 0.5)\n"
+              "def f(x, eps=1e-12):\n    'Exact to 1e-15.'\n"
+              "    y = x * 1e-3 + 1e-6\n    return abs(y) <= -2.5e-8 + TOL + 0.0\n")
+    assert unnamed_tolerances(source) == [(4, 1e-12), (6, 1e-6), (7, 2.5e-8)]
+
+
+@pytest.mark.parametrize("name", _ALGORITHM_MODULES)
+def test_every_tolerance_is_named(name):
+    assert unnamed_tolerances((SRC / name).read_text()) == []
