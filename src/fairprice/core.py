@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,31 +60,22 @@ class RandomStream:
     started from the state of ``random.Random(stream_seed(seed, label))``.
     CPython and numpy build a double from two 32-bit outputs the same way
     (``(a >> 5) * 2**26 + (b >> 6)``, scaled by ``2**-53``), so the values
-    are that object's ``random()``'s, however :meth:`random` (served from a
-    read-ahead list) and :meth:`block` (that list's rest first) interleave."""
-
-    READ_AHEAD = 256
+    are that object's ``random()``'s, however :meth:`random` and
+    :meth:`block` interleave."""
 
     def __init__(self, seed: int, label: str):
         _, internal, _ = random.Random(stream_seed(seed, label)).getstate()
         self._gen = np.random.Generator(np.random.MT19937(0))
         self._gen.bit_generator.state = {"bit_generator": "MT19937",
                                          "state": {"key": internal[:-1], "pos": internal[-1]}}
-        self._ahead = iter(())
 
     def random(self) -> float:
         """The stream's next value."""
-        try:
-            return next(self._ahead)
-        except StopIteration:
-            self._ahead = iter(self._gen.random(self.READ_AHEAD).tolist())
-            return next(self._ahead)
+        return self._gen.random()
 
     def block(self, n: int) -> np.ndarray:
         """The stream's next ``n`` values as a float64 array."""
-        head = list(islice(self._ahead, n))
-        tail = self._gen.random(n - len(head))
-        return np.concatenate((head, tail)) if head else tail
+        return self._gen.random(n)
 
 
 def cumulative_weights(policy: PolicyPair) -> tuple[list[float], list[float]]:

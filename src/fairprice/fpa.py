@@ -180,13 +180,17 @@ def _policy_key(policy: PolicyPair) -> tuple:
 
 
 class FpaAgent:
-    """Interactive agent: call :meth:`propose_price` with the arriving buyer's
-    group, then :meth:`observe` with the outcome, exactly once per round.
+    """Interactive agent: for up to :meth:`batch_rounds` rounds at once, call
+    :meth:`propose_batch` with the arriving buyers' groups, then
+    :meth:`observe_batch` with the outcomes.
 
-    Or, for up to :meth:`batch_rounds` rounds at once, :meth:`propose_batch`
-    then :meth:`observe_batch`: the same schedule and the same draws of the
-    agent's stream, with numpy arrays in place of single rounds.  The two
-    protocols may alternate between rounds.
+    It also keeps a per-round protocol, :meth:`propose_price` then
+    :meth:`observe`, exactly once per round: the same schedule and the same
+    draws of the agent's stream, one round at a time.  The two protocols may
+    alternate between rounds.  No agent of this package needs it: it serves
+    drivers that wrap the agent round by round (the benchmark's tracing
+    proxy) and the tests' reference, and it goes once that proxy forwards
+    the batch protocol (ROADMAP items 1 and 7).
 
     Each round of an epoch samples the batch's policy with one draw u of the
     agent's :class:`~fairprice.core.RandomStream` ``rng`` (``random()`` for a
@@ -233,7 +237,9 @@ class FpaAgent:
 
     def propose_price(self, group: int) -> int:
         """Grid index to post to the arriving buyer of ``group`` (1 or 2):
-        ``bisect_right`` of one draw in the group's sampling table."""
+        ``bisect_right`` of one draw in the group's sampling table.  The
+        per-round protocol, for drivers outside the package (see the class
+        docstring)."""
         if group not in (1, 2):
             raise ValueError("group must be 1 or 2")
         if self._pending is not None or self._pending_batch is not None:
@@ -248,7 +254,8 @@ class FpaAgent:
         return idx
 
     def observe(self, group: int, price_index: int, accepted: bool) -> None:
-        """Record the outcome of the pending proposal and advance the schedule."""
+        """Record the outcome of the pending proposal and advance the
+        schedule: the per-round protocol's second half."""
         if self._pending is None:
             raise ProtocolError("no proposal pending")
         if self._pending != (group, price_index):

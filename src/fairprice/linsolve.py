@@ -241,9 +241,12 @@ def lp_maximize(lp: LinearProgram) -> LpResult:
         if status != OPTIMAL or tableau[-1, -1] > FEAS_TOL:
             return LpResult(INFEASIBLE, None, None)
         # Kick degenerate artificials out of the basis; drop redundant rows.
+        # Phase 1 accepted each one within FEAS_TOL, so it is zero: a pivot
+        # on a tiny entry would scale its rounding residue into a real row.
         drop_rows = []
         for i in range(m):
             if basis[i] >= n_real:
+                tableau[i, -1] = 0.0
                 for j in range(n_real):
                     if abs(tableau[i, j]) > PIVOT_TOL:
                         _pivot(tableau, basis, i, j)

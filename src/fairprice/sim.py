@@ -50,6 +50,9 @@ BASELINE_KINDS = ("best_fixed", "ucb_fixed", "fair_oracle", "group_oracle")
 # about a dozen float64 arrays of this length: at 8,192 rounds each is 64 KB,
 # so a block's working set stays in a core's L2 cache.
 MAX_BLOCK_ROUNDS = 8192
+# UCB2's run growth: ``UcbFixedAgent`` plays a chosen price for
+# tau(r + 1) - tau(r) rounds, tau(r) = ceil((1 + UCB2_ALPHA)^r).
+UCB2_ALPHA = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +255,8 @@ class RunTrace:
     """Outcome of one episode: thinned per-round records plus exact totals.
 
     The kept rows are stored as columns (see ``_ROW_TYPECODES`` and
-    ``_BLOCK_TYPECODES``) and read through :attr:`records`; :meth:`append`
-    adds one row.
+    ``_BLOCK_TYPECODES``), added a block at a time by :meth:`_append_block`
+    and read through :attr:`records`.
     """
 
     horizon: int
@@ -276,36 +279,6 @@ class RunTrace:
         each built when it is read, with Python int, bool and float
         fields."""
         return _Records(self)
-
-    def append(self, record: RoundRecord) -> None:
-        """Add one kept row after the others, as a block of its own.  A
-        field its column cannot hold (a float ``t``, an int past int64)
-        raises TypeError or OverflowError and leaves the trace as it was."""
-        (t, group, price_index, accepted, reward, inst_regret, inst_s, inst_u,
-         cum_regret, cum_s, cum_u, cum_reward, epoch) = record
-        rows, blocks = self._rows, self._blocks
-        n = len(rows[0])
-        try:
-            blocks[1].append(inst_regret)
-            blocks[2].append(inst_s)
-            blocks[3].append(inst_u)
-            blocks[4].append(epoch)
-            rows[0].append(t)
-            rows[1].append(group)
-            rows[2].append(price_index)
-            rows[3].append(bool(accepted))
-            rows[4].append(reward)
-            rows[5].append(cum_regret)
-            rows[6].append(cum_s)
-            rows[7].append(cum_u)
-            rows[8].append(cum_reward)
-        except (TypeError, OverflowError):
-            for column in rows:
-                del column[n:]
-            for column in blocks[1:]:
-                del column[len(blocks[0]):]
-            raise
-        blocks[0].append(n)
 
     def _append_block(self, rows: Sequence, inst_regret: float, inst_s: float,
                       inst_u: float, epoch: int) -> None:
@@ -429,16 +402,18 @@ def run_episode(agent, market: MarketConfig, horizon: int, seed: int,
                 oracle_revenue: Optional[float] = None) -> RunTrace:
     """Run one agent against one market for ``horizon`` rounds.
 
-    An agent with the batch protocol (``batch_rounds``, ``propose_batch``,
-    ``observe_batch``: :class:`~fairprice.fpa.FpaAgent` and
-    :class:`FixedPolicyAgent`) is played a block of rounds at a time with
-    numpy; any other agent one round at a time.  Both paths draw every random
-    stream in the same order and add the running totals in the same order,
-    so they produce the same bytes.
+    Every agent of this package has the batch protocol (``batch_rounds``,
+    ``propose_batch``, ``observe_batch``) and is played a block of rounds at
+    a time with numpy.  An agent with only the per-round protocol
+    (``propose_price``, ``observe``) is played one round at a time; that
+    path serves drivers from outside the package that wrap
+    :class:`~fairprice.fpa.FpaAgent` round by round, and the tests'
+    reference.  Both paths draw every random stream in the same order and
+    add the running totals in the same order, so they produce the same
+    bytes.
 
     Args:
-        agent: anything with propose_price(group) -> index,
-            observe(group, index, accepted), and current_policy() -> PolicyPair.
+        agent: current_policy() -> PolicyPair, with either protocol.
         oracle_revenue: per-round revenue of the fair optimum; computed here
             when omitted (pass it in when sweeping many seeds).
         record_every: keep every n-th round record (totals stay exact).
@@ -481,7 +456,8 @@ def _policy_costs(market: MarketConfig, oracle_revenue: float) -> Callable:
 
 def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int,
                  streams: tuple) -> None:
-    """The reference loop: one Python round at a time, for any agent."""
+    """The per-round loop: one Python round at a time, each kept row handed
+    to the trace as a block of its own."""
     horizon = trace.horizon
     v = market.grid.prices
     curves = (market.accept.group1, market.accept.group2)
@@ -506,9 +482,10 @@ def _play_rounds(agent, market: MarketConfig, trace: RunTrace, record_every: int
         if inst_u > trace.max_inst_u:
             trace.max_inst_u = inst_u
         if t == 1 or t % record_every == 0 or t == horizon:
-            trace.append(RoundRecord(
-                t, group, idx, accepted, reward, inst_regret, inst_s, inst_u,
-                trace.cum_regret, trace.cum_s, trace.cum_u, trace.cum_reward, epoch))
+            row = (t, group, idx, accepted, reward, trace.cum_regret, trace.cum_s,
+                   trace.cum_u, trace.cum_reward)
+            trace._append_block([[value] for value in row], inst_regret, inst_s, inst_u,
+                                epoch)
 
 
 def _running(start: float, steps, n: int) -> np.ndarray:
@@ -569,22 +546,14 @@ class FixedPolicyAgent:
     group-wise optimum or the fair optimum (see :func:`baseline_agent`).
 
     It draws prices from its own stream by the learner's rule
-    (:func:`~fairprice.core.cumulative_weights`), one draw per round in
-    either protocol: a batch draws as that many :meth:`propose_price` calls
-    would."""
+    (:func:`~fairprice.core.cumulative_weights`), one draw per round: round
+    k of an episode posts ``bisect_right`` of the stream's k-th value in its
+    group's table, however the engine cuts the episode into blocks."""
 
     def __init__(self, policy: PolicyPair, seed: int = 0):
         self._policy = policy
         self._rng = RandomStream(seed, "agent")
         self._cums = cumulative_weights(policy)
-
-    def propose_price(self, group: int) -> int:
-        if group not in (1, 2):
-            raise ValueError("group must be 1 or 2")
-        return bisect_right(self._cums[group - 1], self._rng.random())
-
-    def observe(self, group: int, price_index: int, accepted: bool) -> None:
-        pass
 
     def batch_rounds(self) -> int:
         return MAX_BLOCK_ROUNDS
@@ -602,36 +571,59 @@ class FixedPolicyAgent:
         return self._policy
 
 
-class UcbFixedAgent:
-    """Group-blind upper-confidence-bound learner over the fixed prices.
+def _ucb2_tau(r):
+    """UCB2's tau(r) = ceil((1 + UCB2_ALPHA)^r), elementwise, as floats."""
+    return np.ceil((1.0 + UCB2_ALPHA) ** r)
 
-    Classic average-plus-root-log bonus on the realized revenue of each price
-    (rewards live in [0, 1] because the grid does).  Posts the same price to
-    either group, so both fairness gaps are identically zero.
+
+class UcbFixedAgent:
+    """Group-blind UCB2 learner over the fixed prices (Auer, Cesa-Bianchi &
+    Fischer 2002, Figure 2) on the realized revenue, price x accepted, which
+    lies in [0, 1] because the grid does.
+
+    It plays each price once, in index order.  Then it picks the price j
+    that maximizes mean_j + sqrt((1 + a) ln(e n / tau(r_j)) / (2 tau(r_j))),
+    with n the rounds played so far, a = ``UCB2_ALPHA``,
+    tau(r) = ceil((1 + a)^r) and ties to the lowest index.  It plays j for
+    tau(r_j + 1) - tau(r_j) rounds, one batch, and adds 1 to r_j; a run of
+    no rounds goes straight on to the next pick.  mean_j is
+    v_j * accepts_j / plays_j from integer counts, so the picks do not
+    depend on how the engine cuts a run into blocks.  It posts the same
+    price to either group, so both fairness gaps are identically zero.
     """
 
     def __init__(self, grid: PriceGrid):
-        self.d = grid.d
         self.prices = grid.prices
-        self.counts = np.zeros(self.d, dtype=np.int64)
-        self.sums = np.zeros(self.d)
-        self.t = 0
-        self._policies = [fixed_price_policy(self.d, i) for i in range(self.d)]
-        self._arm = 0
+        self._plays = np.zeros(grid.d, dtype=np.int64)
+        self._accepts = np.zeros(grid.d, dtype=np.int64)
+        self._r = np.zeros(grid.d, dtype=np.int64)
+        self._policies = [fixed_price_policy(grid.d, i) for i in range(grid.d)]
+        self._arm, self._left = 0, 1
 
-    def propose_price(self, group: int) -> int:
-        self.t += 1
-        if self.t <= self.d:
-            self._arm = self.t - 1
-        else:
-            bonus = np.sqrt(2.0 * math.log(self.t) / self.counts)
-            self._arm = int(np.argmax(self.sums / self.counts + bonus))
-        return self._arm
+    def batch_rounds(self) -> int:
+        return self._left
 
-    def observe(self, group: int, price_index: int, accepted: bool) -> None:
-        self.counts[price_index] += 1
-        if accepted:
-            self.sums[price_index] += float(self.prices[price_index])
+    def propose_batch(self, groups: np.ndarray) -> np.ndarray:
+        if not np.all((groups == 1) | (groups == 2)):
+            raise ValueError("group must be 1 or 2")
+        if groups.size > self._left:
+            raise ValueError(f"batch of {groups.size} rounds; the run has {self._left} left")
+        return np.full(groups.size, self._arm)
+
+    def observe_batch(self, groups: np.ndarray, idx: np.ndarray,
+                      accepted: np.ndarray) -> None:
+        self._plays[self._arm] += idx.size
+        self._accepts[self._arm] += np.count_nonzero(accepted)
+        self._left -= idx.size
+        n = int(self._plays.sum())
+        if not self._left and n < self.prices.size:
+            self._arm, self._left = n, 1  # the opening pass, one round per price
+        while not self._left:
+            tau = _ucb2_tau(self._r)
+            bonus = np.sqrt((1.0 + UCB2_ALPHA) * np.log(math.e * n / tau) / (2.0 * tau))
+            self._arm = arm = int(np.argmax(self.prices * self._accepts / self._plays + bonus))
+            self._r[arm] += 1
+            self._left = int(_ucb2_tau(self._r[arm]) - _ucb2_tau(self._r[arm] - 1))
 
     def current_policy(self) -> PolicyPair:
         return self._policies[self._arm]

@@ -9,6 +9,7 @@ import pytest
 
 import fairprice.sim
 from fairprice import (
+    BASELINE_KINDS,
     AcceptanceModel,
     FpaAgent,
     FpaConfig,
@@ -41,12 +42,11 @@ COARSE = OracleConfig(grid_steps_vs=40, grid_steps_alpha=10, refine_iters=1)
 @pytest.mark.parametrize("seed", [0, 3, 2**62 + 5])
 def test_block_draws_equal_single_draws(seed):
     """A stream's blocks and single draws, interleaved, are the values of
-    ``random.Random(stream_seed(seed, label))`` one for one: blocks of one
-    value, blocks served from the read-ahead, blocks longer than it, and
-    single draws that refill it."""
-    ahead = RandomStream.READ_AHEAD
-    sizes = [0, 1, 5, 311, 312, 313, 3, 50_000, 1, 2055, ahead - 2, ahead, ahead + 1]
-    singles = [1, 0, ahead + 3, 2, ahead - 1]
+    ``random.Random(stream_seed(seed, label))`` one for one: empty blocks,
+    blocks of one value, blocks that end on either side of a twist of the
+    624-word state (312 values), and runs of single draws across one."""
+    sizes = [0, 1, 5, 311, 312, 313, 3, 50_000, 1, 2055, 254, 256, 257]
+    singles = [1, 0, 259, 2, 255]
     reference = random.Random(stream_seed(seed, "agent"))
     stream = RandomStream(seed, "agent")
     for k, n in enumerate(sizes):
@@ -225,7 +225,7 @@ def test_engine_cuts_long_batches_into_blocks(tmp_path, monkeypatch):
     _assert_same_bytes(tmp_path, 5000, 7, seed=2)
 
 
-# A two-price market: the d <= 2 search path.
+# A two-price market, searched by the v_s walk like every market with d <= 2.
 TWO_PRICES = MarketConfig(PriceGrid(np.array([0.5, 1.0])),
                           AcceptanceModel(np.array([0.8, 0.4]), np.array([0.9, 0.3])), q=0.4)
 
@@ -233,10 +233,11 @@ TWO_PRICES = MarketConfig(PriceGrid(np.array([0.5, 1.0])),
 @pytest.mark.parametrize("market, horizon, seed", [
     (TWO_PRICES, 1500, 0),
     (lowerbound_family_market(1, 4, 3000), 1500, 0),
-    # the fuzzed markets of seeds 4 and 7 (d = 1 + s % 8), played with seed s
-    (_random_market(np.random.default_rng(10004), 5), 2000, 4),
-    (_random_market(np.random.default_rng(10007), 8), 2000, 7),
-], ids=["d2", "hard-d4", "d5", "d8"])
+    # the fuzzed markets of seeds s = 0, 4, 5, 6 and 7 (d = 1 + s % 8), each
+    # played with seed s
+    *[(_random_market(np.random.default_rng(10000 + s), 1 + s % 8), 2000, s)
+      for s in (0, 4, 5, 6, 7)],
+], ids=["d2", "hard-d4", "d1", "d5", "d6", "d7", "d8"])
 def test_engine_writes_the_loops_bytes_at_other_grid_sizes(tmp_path, monkeypatch, market,
                                                            horizon, seed):
     monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", 50)
@@ -254,24 +255,42 @@ def test_engine_matches_the_loop_on_a_shorter_run(tmp_path):
     assert agent.t == 3000 and agent.stage == "epochs" and agent.ledger
 
 
+class _PerRoundFixedPolicy:
+    """The per-round reference of a fixed-policy baseline: each round posts
+    ``bisect_right`` of one draw of ``random.Random(stream_seed(seed,
+    "agent"))`` in its group's sampling table."""
+
+    def __init__(self, policy, seed):
+        self._policy = policy
+        self._rng = random.Random(stream_seed(seed, "agent"))
+        self._cums = cumulative_weights(policy)
+
+    def propose_price(self, group):
+        return bisect_right(self._cums[group - 1], self._rng.random())
+
+    def observe(self, group, price_index, accepted):
+        pass
+
+    def current_policy(self):
+        return self._policy
+
+
 @pytest.mark.parametrize("record_every", [1, 7])
 @pytest.mark.parametrize("eps", [0.0, 0.03])
 @pytest.mark.parametrize("kind", ["best_fixed", "group_oracle", "fair_oracle"])
 def test_fixed_policies_play_the_loops_bytes_in_blocks(tmp_path, monkeypatch, kind, eps,
                                                        record_every):
     """Blocks of 50 rounds (the engine's cap, lowered) against the per-round
-    loop, with the agent's draws checked too."""
+    loop driving the reference, with the agent's draws checked too."""
     monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", 50)
     market = example_eps_market(eps)
     batched = baseline_agent(kind, market, seed=5)
-    reference = baseline_agent(kind, market, seed=5)
-    assert callable(batched.propose_batch)
+    reference = _PerRoundFixedPolicy(batched.current_policy(), seed=5)
     got = _outputs(tmp_path, "batched", batched, market, 2013, 5, record_every)
-    want = _outputs(tmp_path, "rounds", _RoundByRound(reference), market, 2013, 5,
-                    record_every)
+    want = _outputs(tmp_path, "rounds", reference, market, 2013, 5, record_every)
     assert got[0] == want[0], "trace CSV differs"
     assert got[1] == want[1], "summary JSON differs"
-    assert batched.propose_price(1) == reference.propose_price(1)
+    assert batched.propose_batch(np.array([1])).tolist() == [reference.propose_price(1)]
 
 
 class _CheckedBlocks:
@@ -291,11 +310,13 @@ class _CheckedBlocks:
         return getattr(self._agent, name)
 
 
-@pytest.mark.parametrize("kind", ["fpa", "fair_oracle"])
+@pytest.mark.parametrize("kind", ["fpa", "fair_oracle", "ucb_fixed"])
 def test_block_cap_cuts_blocks_not_bytes(tmp_path, monkeypatch, kind):
     """Every kept row at the old cap of 65,536 rounds and at the current one,
-    in an episode of several blocks that the current cap cuts."""
-    cap, horizon, market = fairprice.sim.MAX_BLOCK_ROUNDS, 40_000, example1_market()
+    in an episode of several blocks that the current cap cuts.  UCB2's runs
+    outgrow the cap only after about 50,000 rounds."""
+    cap, market = fairprice.sim.MAX_BLOCK_ROUNDS, example1_market()
+    horizon = 100_000 if kind == "ucb_fixed" else 40_000
 
     def play(name, max_block):
         monkeypatch.setattr(fairprice.sim, "MAX_BLOCK_ROUNDS", max_block)
@@ -309,6 +330,20 @@ def test_block_cap_cuts_blocks_not_bytes(tmp_path, monkeypatch, kind):
     assert new[1] == old[1], "summary JSON differs"
     assert sum(new_sizes) == horizon and len(new_sizes) >= 3
     assert max(new_sizes) == cap < max(old_sizes)
+
+
+@pytest.mark.parametrize("kind", ["fpa", *BASELINE_KINDS])
+def test_every_agent_plays_in_blocks(monkeypatch, kind):
+    """The learner and every baseline run whole episodes with the per-round
+    loop switched off."""
+    def per_round(*args):
+        raise AssertionError("the per-round loop ran")
+
+    monkeypatch.setattr(fairprice.sim, "_play_rounds", per_round)
+    market = example1_market()
+    agent = _agent(2000) if kind == "fpa" else baseline_agent(kind, market, seed=0)
+    trace = run_episode(agent, market, 2000, seed=0, oracle_revenue=R_STAR)
+    assert trace.records[-1].t == 2000
 
 
 def test_engine_refuses_rounds_past_the_agents_horizon():
@@ -329,9 +364,7 @@ def test_d4_episode_is_procedurally_fair_in_every_round():
         accept=AcceptanceModel(np.array([0.9, 0.7, 0.5, 0.3]),
                                np.array([0.8, 0.75, 0.4, 0.35])),
         q=0.4)
-    coarse = OracleConfig(grid_steps_vs=12, grid_steps_alpha=4, refine_iters=1)
-    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=3000, seed=0),
-                     oracle_cfg=coarse)
+    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=3000, seed=0))
     trace = run_episode(agent, market, 3000, seed=0, record_every=1)
     assert len(trace.records) == 3000 and len(agent.ledger) >= 1
     assert max(r.inst_u for r in trace.records) <= 1e-9

@@ -3,8 +3,9 @@ every module-level private name is referenced somewhere in the package,
 every public function and class is read in the package or exported, no
 cache outlives a call (no module-level dict, list or set but ``__all__``,
 no ``functools`` cache), no random generator or lock is shared (none at
-module level, no ``ctypes``), and every tolerance of the algorithm modules
-is a named module-level constant."""
+module level, no ``ctypes``), every tolerance of the algorithm modules
+is a named module-level constant, and every agent plays in blocks (only
+``fpa.FpaAgent`` keeps a per-round protocol)."""
 
 from __future__ import annotations
 
@@ -253,3 +254,53 @@ def test_the_check_catches_an_unnamed_tolerance():
 @pytest.mark.parametrize("name", _ALGORITHM_MODULES)
 def test_every_tolerance_is_named(name):
     assert unnamed_tolerances((SRC / name).read_text()) == []
+
+
+_PER_ROUND_METHODS = {"propose_price", "observe"}
+_BATCH_METHODS = {"batch_rounds", "propose_batch", "observe_batch"}
+# The one class that keeps the per-round protocol, for drivers outside the
+# package that wrap the learner round by round.
+_PER_ROUND_KEPT = "fpa.py:FpaAgent"
+
+
+def per_round_agents(sources: dict[str, str]) -> list[str]:
+    """What breaks the block protocol, for each class of ``sources`` (name
+    -> source) that defines an agent method (``current_policy`` or a method
+    of either protocol): each per-round method of a class other than
+    ``fpa.FpaAgent``, and each batch method the class lacks."""
+    found = []
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+            if not methods & (_PER_ROUND_METHODS | _BATCH_METHODS | {"current_policy"}):
+                continue
+            label = f"{name}:{node.name}"
+            if label != _PER_ROUND_KEPT:
+                found += [f"{label}.{m}" for m in sorted(methods & _PER_ROUND_METHODS)]
+            found += [f"{label} lacks {m}" for m in sorted(_BATCH_METHODS - methods)]
+    return found
+
+
+def test_the_check_catches_a_per_round_agent():
+    batch = ("    def batch_rounds(self): pass\n    def propose_batch(self, g): pass\n"
+             "    def observe_batch(self, g, i, a): pass\n")
+    per_round = "    def propose_price(self, g): pass\n    def observe(self, g, i, a): pass\n"
+    sources = {"fpa.py": "class FpaAgent:\n" + per_round + batch,
+               "sim.py": ("class Blocks:\n" + batch + "    def current_policy(self): pass\n"
+                          "class Rounds:\n" + per_round + "    def current_policy(self): pass\n"
+                          "class Both:\n" + per_round + batch
+                          + "class Half:\n    def propose_batch(self, g): pass\n"
+                          "class Trace:\n    def append(self, row): pass\n")}
+    assert per_round_agents(sources) == [
+        "sim.py:Rounds.observe", "sim.py:Rounds.propose_price",
+        "sim.py:Rounds lacks batch_rounds", "sim.py:Rounds lacks observe_batch",
+        "sim.py:Rounds lacks propose_batch", "sim.py:Both.observe",
+        "sim.py:Both.propose_price", "sim.py:Half lacks batch_rounds",
+        "sim.py:Half lacks observe_batch"]
+
+
+def test_only_the_learner_keeps_a_per_round_protocol():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert per_round_agents(sources) == []
