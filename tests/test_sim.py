@@ -2,6 +2,7 @@
 
 import collections.abc
 import csv
+import fractions
 import gc
 import hashlib
 import io
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fairprice.sim
 from fairprice import (
@@ -338,17 +339,36 @@ def test_records_view_reads_the_rows_as_appended(adds, start, stop, step):
     assert records[::-1] == want[::-1]
 
 
-def test_csv_header_and_row_format_cover_every_field():
-    """The outcome format fills the line format's one %s; together they
-    write every field once, in the header's order."""
-    sim = fairprice.sim
-    assert sim._CSV_COLUMNS == RoundRecord._fields
-    assert sim._CSV_LINE.count("%s") == 1
-    assert (sim._CSV_LINE.count("%") - 1 + sim._CSV_OUTCOME.count("%")
-            == len(RoundRecord._fields))
-    fields = range(1, len(RoundRecord._fields) + 1)
-    line = sim._CSV_LINE % (1, sim._CSV_OUTCOME % tuple(fields[1:8]), *fields[8:])
-    assert line == ",".join(map(str, fields)) + "\r\n"
+def test_csv_writes_the_header_then_every_field_once_in_its_order(tmp_path):
+    """A one-row trace whose 13 fields are 13 distinct texts: the line holds
+    each once, in the header's order."""
+    trace = RunTrace(horizon=5, seed=0, oracle_revenue=0.5)
+    _append_row(trace, RoundRecord(5, 2, 3, True, 0.25, 0.5, 0.75, 1.5, 2.5, 3.5, 4.5, 6.5, 7))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    header, line, end = path.read_bytes().split(b"\r\n")
+    assert header.decode().split(",") == list(RoundRecord._fields)
+    assert line == b"5,2,3,1,0.25,0.5,0.75,1.5,2.5,3.5,4.5,6.5,7"
+    assert end == b""
+
+
+def test_append_block_refuses_values_of_another_kind():
+    """A float for an int column, a string or None for a float column: the
+    block is refused whole and the trace keeps what it had."""
+    trace = RunTrace(horizon=3, seed=0, oracle_revenue=0.5)
+    good = [[1], [1], [0], [True], [0.5], [0.1], [0.0], [0.0], [0.5]]
+    trace._append_block(good, 0.1, 0.0, 0.0, 0)
+    for column, value in ((0, 1.5), (4, "0.1"), (5, None)):
+        rows = [list(values) for values in good]
+        rows[column] = [value]
+        with pytest.raises(TypeError):
+            trace._append_block(rows, 0.1, 0.0, 0.0, 0)
+    with pytest.raises(TypeError):
+        trace._append_block(good, "0.1", 0.0, 0.0, 0)
+    assert len(trace.records) == 1 and len(trace._blocks[0]) == 1
+    trace._append_block([[np.int64(2)], [np.int8(2)], [np.uint8(1)], [np.bool_(False)],
+                         [0], [np.float32(0.5)], [1], [0.0], [0.5]], 0.1, 0.0, 0.0, 0)
+    assert trace.records[-1].t == 2 and trace.records[-1].reward == 0.0
 
 
 def _csv_writer_bytes(trace: RunTrace) -> bytes:
@@ -402,12 +422,36 @@ def _repeated_outcome_trace() -> RunTrace:
     return trace
 
 
-@pytest.mark.parametrize("source", ["edge", "repeated", "ucb_fixed", "fpa"])
-def test_trace_csv_bytes_match_the_csv_writer(tmp_path, example_market, source):
+def _reward_bits_trace() -> RunTrace:
+    """One block of rows that share group, price index and accepted, and
+    the block's instant metrics, but differ in the reward's bits."""
+    trace = RunTrace(horizon=6, seed=0, oracle_revenue=0.5)
+    rewards = [0.5, 0.5000000000000001, -0.0, 0.0, 0.5, 1e-300]
+    n = len(rewards)
+    trace._append_block([np.arange(1, n + 1), [1] * n, [0] * n, [True] * n, rewards,
+                         *[np.linspace(0.1, 0.6, n)] * 4], 0.25, 0.0, 0.0, 3)
+    return trace
+
+
+@pytest.mark.parametrize("source", ["edge", "repeated", "reward_bits", "empty", "ucb_fixed",
+                                    "fpa", "fair_oracle", "group_oracle"])
+def test_trace_csv_bytes_match_the_csv_writer(tmp_path, example_market, example_closed_form,
+                                              source):
     if source == "edge":
         trace = _edge_trace()
     elif source == "repeated":
         trace = _repeated_outcome_trace()
+    elif source == "reward_bits":
+        trace = _reward_bits_trace()
+    elif source == "empty":
+        trace = RunTrace(horizon=1, seed=0, oracle_revenue=0.5)
+    elif source == "fair_oracle":  # every round kept: past every slice and block end
+        agent = baseline_agent("fair_oracle", example_market, policy=example_closed_form.policy)
+        trace = run_episode(agent, example_market, 20_000, seed=3, oracle_revenue=R_STAR)
+    elif source == "group_oracle":  # negative instant and cumulative regret
+        trace = run_episode(baseline_agent("group_oracle", example_market), example_market,
+                            5_000, seed=4, record_every=3, oracle_revenue=R_STAR)
+        assert trace.records[-1].inst_regret < 0 and trace.cum_regret < 0
     elif source == "ucb_fixed":
         trace = run_episode(baseline_agent("ucb_fixed", example_market), example_market,
                             300, seed=1, record_every=7, oracle_revenue=R_STAR)
@@ -421,6 +465,117 @@ def test_trace_csv_bytes_match_the_csv_writer(tmp_path, example_market, source):
     assert data == _csv_writer_bytes(trace)
     assert data.count(b"\r\n") == len(trace.records) + 1
     assert b"\n" not in data.replace(b"\r\n", b"")
+
+
+# ---------------------------------------------------------------------------
+# the trace writer's %.17g
+# ---------------------------------------------------------------------------
+
+def _g17(values) -> list[bytes]:
+    """The trace writer's text of each float."""
+    text = fairprice.sim._g17_field(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"") for row in text]
+
+
+def _cpython(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def _with_neighbours(values, steps: int) -> list[float]:
+    """Each value and the ``steps`` doubles on either side of it."""
+    out = []
+    for value in values:
+        below = above = value
+        out.append(value)
+        for _ in range(steps):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+_DOUBLE_BITS = [0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000,  # subnormals
+                0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,  # DBL_MAX, inf
+                0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001,  # NaNs
+                0x0000000000000000, 0x8000000000000000]  # +-0
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+@example(_DOUBLE_BITS)
+def test_g17_matches_cpython_on_any_bit_pattern(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _g17(values) == _cpython(values)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_g17_matches_cpython_on_any_float(values):
+    assert _g17(values) == _cpython(values)
+
+
+def test_g17_next_to_powers_of_ten():
+    """Next to 10**k, log10 can put a value one decade off; the fast path
+    still certifies every one in its exponent range."""
+    values = _with_neighbours([float(f"1e{k}") for k in range(-30, 31)], steps=2)
+    assert _g17(values) == _cpython(values)
+    assert _g17(np.negative(values)) == _cpython(np.negative(values))
+    in_range = [v for v in values if 1e-27 <= v < 1e38]
+    assert fairprice.sim._g17_decimal(np.array(in_range))[2].all()
+
+
+def test_g17_at_the_switch_points_of_g():
+    """%.17g writes scientific notation below 1e-4 and from 1e17 on."""
+    assert _g17([1e-5, 1e-4, 1e16, 1e17]) == [b"1.0000000000000001e-05", b"0.0001",
+                                              b"10000000000000000", b"1e+17"]
+    values = _with_neighbours([1e-5, 1e-4, 1e16, 1e17], steps=3)
+    assert _g17(values) == _cpython(values)
+
+
+def test_g17_rounds_exact_ties_to_even():
+    """Values whose 18th significant digit is a final 5."""
+    values = [1234567890123456.75, 1125899906842624.75, 1125899906842624.25,
+              1125899906842625.25, -1234567890123456.75, 3 * 2.0 ** -24]
+    assert _g17(values) == [b"1234567890123456.8", b"1125899906842624.8", b"1125899906842624.2",
+                            b"1125899906842625.2", b"-1234567890123456.8",
+                            b"1.7881393432617188e-07"]
+
+
+def _near_tie(past: int) -> float:
+    """A double in [1e-7, 1e-6), which _g17_decimal scales by two powers of
+    ten, 10**22 and 10, whose scaled value lies 2**-past above a rounding
+    tie: x = m / 2**(past + 23) makes x * 10**23 = m * 5**23 / 2**past."""
+    five = 5 ** 23
+    m = (2 ** (past - 1) + 1) * pow(five, -1, 2 ** past) % 2 ** past
+    while m * five < 10 ** 16 * 2 ** past:
+        m += 2 ** past
+    assert m < 2 ** 53
+    return math.ldexp(m, -(past + 23))
+
+
+def test_g17_leaves_values_inside_the_tie_margin_to_cpython():
+    """Scaled inexactly, a value 2**-45 past a tie lies inside the tie
+    margin (2**-40): the fast path does not certify it, and CPython writes
+    it.  With no margin the fast path would take it, on an estimate whose
+    error bound (2**-47) is too close to its distance from the tie."""
+    x = _near_tie(45)
+    scaled = fractions.Fraction(x) * 10 ** 23
+    assert scaled - math.floor(scaled) == fractions.Fraction(1, 2) + fractions.Fraction(1, 2 ** 45)
+    assert 2.0 ** -45 < fairprice.sim._G17_TIE_MARGIN
+    _, _, certified = fairprice.sim._g17_decimal(np.array([x, _near_tie(20)]))
+    assert certified.tolist() == [False, True]
+    assert _g17([x]) == _cpython([x])
+
+
+def test_g17_certifies_every_nonzero_running_total_of_an_episode(example_market):
+    """The fast path, not CPython, writes the running totals of a learning
+    episode (T = 1e5, seed 0, the CLI's thinning); only exact zeros, which
+    are left to CPython, are not certified."""
+    agent = FpaAgent(FpaConfig(grid=example_market.grid, q=example_market.q,
+                               horizon=100_000, seed=0))
+    trace = run_episode(agent, example_market, 100_000, seed=0, record_every=10,
+                        oracle_revenue=R_STAR)
+    totals = np.array([r[8:12] for r in trace.records]).ravel()
+    _, _, certified = fairprice.sim._g17_decimal(totals)
+    assert np.count_nonzero(totals) > 0.95 * totals.size
+    np.testing.assert_array_equal(certified, totals != 0)
 
 
 # SHA-256 of (trace CSV, summary JSON) of per-round-path baseline episodes on
