@@ -7,12 +7,14 @@ reproduced with direct calls using the configuration echoed into each output
 file.  Outputs are deterministic (no timestamps, sorted JSON keys, fixed
 float formatting), so identical invocations give byte-identical files.
 
-Each config key is one row of ``SETTINGS``: the key, the dest of its flag,
-its type and its default (the agent's come from ``FpaConfig``).  A command
-reads the keys of its sections from the flag, else the optional flat
-key/value file (``--config``), else the default.  A file key outside
-``CONFIG_KEYS`` is an error, so a misspelt key cannot fall back to its
-default unnoticed::
+Each setting is one row of ``SETTINGS``: its config key, its flags, its
+type, its default (the agent's come from ``FpaConfig``), its help and the
+values it may take.  Each command's row of ``COMMANDS`` lists the keys it
+reads and the defaults it sets in place of the table's.  The parser gives a
+command the flags of its keys, and the command reads each key from the
+flag, else the optional flat key/value file (``--config``), else its
+default.  A file key outside ``CONFIG_KEYS`` is an error, so a misspelt key
+cannot fall back to its default unnoticed::
 
     # experiment.cfg
     environment.preset = example-eps
@@ -33,7 +35,6 @@ cells run concurrently; the cell count and the CPU count cap it too.  Errors
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -127,66 +128,81 @@ def parse_horizons(spec: str) -> list[int]:
     return horizons
 
 
-# One row per config key: the key, the dest of its flag, the type that reads
-# a flag's or the config file's value, and the default.  A command reads the
-# keys of its sections (the part before the dot).
+# One row per setting: its config key, its flags, the type that reads a
+# flag's or the config file's value, its default (the agent's come from
+# FpaConfig), its help, and the values it may take (None: any its type reads).
 SETTINGS = (
-    ("environment.preset", "preset", str, "example1"),
-    ("environment.eps", "eps", float, 0.0),
-    ("environment.market_file", "market", str, None),
-    ("environment.lb_j", "lb_j", int, 1),
-    ("environment.lb_d", "lb_d", int, 3),
-    ("agent.kind", "agent", str, "fpa"),
-    ("agent.mode", "mode", str, FpaConfig.constants_mode),
-    ("agent.scale_factor", "scale_factor", float, FpaConfig.scale_factor),
-    ("agent.error_prob", "epsilon", float, FpaConfig.error_prob),
-    ("agent.relaxation_l", "relaxation_l", float, FpaConfig.relaxation_l),
-    ("run.horizon", "horizon", int, None),          # run needs one
-    ("run.seeds", "seeds", parse_seed_spec, (0,)),  # the spec '1'
-    ("run.record_every", "record_every", int, None),  # horizon/10000
-    ("output.dir", "out", str, None),
-    ("sweep.horizons", "horizons", parse_horizons, ()),
-    ("sweep.seeds", "seeds", parse_seed_spec, ()),
+    ("environment.preset", ("--preset",), str, "example1", "built-in market", PRESETS),
+    ("environment.eps", ("--eps",), float, 0.0, "example-family perturbation", None),
+    ("environment.market_file", ("--market",), str, None,
+     "market text file (overrides presets)", None),
+    ("environment.lb_j", ("--lb-j",), int, 1, "lowerbound preset: bumped index", None),
+    ("environment.lb_d", ("--lb-d",), int, 3, "lowerbound preset: grid size", None),
+    ("agent.kind", ("--agent",), str, "fpa", "agent to run", AGENT_KINDS),
+    ("agent.mode", ("--mode",), str, FpaConfig.constants_mode, "constant schedule",
+     CONSTANT_MODES),
+    ("agent.scale_factor", ("--scale-factor",), float, FpaConfig.scale_factor,
+     "scaled-mode knob c", None),
+    ("agent.error_prob", ("--epsilon",), float, FpaConfig.error_prob,
+     "confidence error budget", None),
+    ("agent.relaxation_l", ("--relaxation-L",), float, FpaConfig.relaxation_l,
+     "band multiplier in the revenue floor", None),
+    ("run.horizon", ("--horizon", "-T"), int, None, "rounds per episode", None),
+    ("run.seeds", ("--seeds",), parse_seed_spec, (0,), "seed spec (count, range, or list)",
+     None),
+    ("run.record_every", ("--record-every",), int, None,
+     "trace row interval (default horizon/10000)", None),
+    ("output.dir", ("--out",), str, None, "output directory", None),
+    ("sweep.horizons", ("--horizons",), parse_horizons, (),
+     "comma-separated horizons (>= 3)", None),
+    ("sweep.seeds", ("--seeds",), parse_seed_spec, (), "seed spec (>= 5 seeds)", None),
 )
 CONFIG_KEYS = tuple(row[0] for row in SETTINGS)
 
+_ENVIRONMENT = ("environment.preset", "environment.eps", "environment.market_file",
+                "environment.lb_j", "environment.lb_d")
+_AGENT = ("agent.kind", "agent.mode", "agent.scale_factor", "agent.error_prob",
+          "agent.relaxation_l")
+# One row per command that takes settings: its name, the keys it reads, and
+# the (key, default) pairs that replace the table's defaults for it.  solve
+# reads a horizon for the lowerbound preset; compare-lb always runs the
+# example family, so eps is the one environment key it reads.
+COMMANDS = (
+    ("solve", _ENVIRONMENT + ("run.horizon",), ()),
+    ("run", _ENVIRONMENT + _AGENT + ("run.horizon", "run.seeds", "run.record_every",
+                                     "output.dir"), ()),
+    ("sweep", _ENVIRONMENT + _AGENT + ("sweep.horizons", "sweep.seeds", "output.dir"), ()),
+    ("compare-lb", ("environment.eps",) + _AGENT + ("run.horizon", "run.seeds", "output.dir"),
+     (("environment.eps", 0.01), ("run.horizon", 100_000), ("run.seeds", tuple(range(10))))),
+)
 
-def _read_config_value(path: str, config: dict[str, str], key: str, read):
-    """``read(config[key])``; a value it cannot read raises ValueError
-    naming the file and the key."""
-    try:
-        return read(config[key])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {key}: {exc}") from None
 
-
-def resolve_settings(args, sections: Sequence[str]) -> dict:
-    """``{key: value}`` for each config key of ``sections`` (``"agent"``,
-    ``"run"``, ...): the flag, else the ``--config`` file, else the default.
-    A value its type cannot read, or an unknown preset, agent or mode,
-    raises ValueError; for a file's value the message names file and key."""
+def resolve_settings(args) -> dict:
+    """``{key: value}`` for each key that ``args.command`` reads
+    (``COMMANDS``): the flag, else the ``--config`` file, else the
+    command's default, else the key's.  A flag's or the file's value goes
+    through the key's type; a value outside its set of values (an unknown
+    preset, agent or mode) raises ValueError.  So does a value its type
+    cannot read; for the file's, the message names file and key."""
+    keys, defaults = next((keys, dict(defaults)) for name, keys, defaults in COMMANDS
+                          if name == args.command)
     config = load_config_file(args.config) if args.config else {}
     settings = {}
-    for key, dest, read, default in SETTINGS:
-        if key.split(".")[0] not in sections:
+    for key, flags, read, default, _, allowed in SETTINGS:
+        if key not in keys:
             continue
-        if getattr(args, dest) is not None:
-            settings[key] = read(getattr(args, dest))
+        if getattr(args, key) is not None:
+            value = read(getattr(args, key))
         elif key in config:
-            settings[key] = _read_config_value(args.config, config, key, read)
+            try:
+                value = read(config[key])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {key}: {exc}") from None
         else:
-            settings[key] = default
-    if "environment" in sections:
-        preset = settings["environment.preset"]
-        if preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
-    if "agent" in sections:
-        if settings["agent.kind"] not in AGENT_KINDS:
-            raise ValueError(f"unknown agent {settings['agent.kind']!r}; "
-                             f"expected one of {AGENT_KINDS}")
-        if settings["agent.mode"] not in CONSTANT_MODES:
-            raise ValueError(f"unknown mode {settings['agent.mode']!r}; "
-                             f"expected one of {CONSTANT_MODES}")
+            value = defaults.get(key, default)
+        if allowed is not None and value not in allowed:
+            raise ValueError(f"unknown {flags[0][2:]} {value!r}; expected one of {allowed}")
+        settings[key] = value
     return settings
 
 
@@ -199,7 +215,7 @@ def _parse_emit(spec: str) -> set[str]:
     return emit
 
 
-def _build_market(settings: dict, horizon: Optional[int] = None) -> MarketConfig:
+def _build_market(settings: dict, horizon: Optional[int]) -> MarketConfig:
     if settings["environment.market_file"] is not None:
         with open(settings["environment.market_file"], "r", encoding="utf-8") as fh:
             return market_from_text(fh.read(), fh.name)
@@ -322,8 +338,8 @@ def _run_cells(payloads: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    settings = resolve_settings(args, ("environment",))
-    market = _build_market(settings, horizon=args.horizon)
+    settings = resolve_settings(args)
+    market = _build_market(settings, horizon=settings["run.horizon"])
     solution = solve_fair_optimal(market)
     report = {
         "market": market_to_text(market),
@@ -349,14 +365,12 @@ def cmd_solve(args) -> int:
         report["closed_form_gap"] = gap
         print(f"closed-form revenue {closed.revenue:.9f} (|gap| {gap:.2e})")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary_json(report, args.out)
     return 0
 
 
 def cmd_run(args) -> int:
-    settings = resolve_settings(args, ("environment", "agent", "run", "output"))
+    settings = resolve_settings(args)
     horizon = settings["run.horizon"]
     if horizon is None:
         raise ValueError("run needs --horizon")
@@ -394,7 +408,7 @@ def _slope_text(slope: Optional[float]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    settings = resolve_settings(args, ("environment", "agent", "sweep", "output"))
+    settings = resolve_settings(args)
     horizons, seeds = settings["sweep.horizons"], settings["sweep.seeds"]
     if len(horizons) < 3:
         raise ValueError("sweep needs at least 3 horizons")
@@ -445,25 +459,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare_lb(args) -> int:
-    settings = resolve_settings(args, ("agent",))
-    # The pair is always the example family, so its perturbation is the one
-    # environment key that applies: --eps, else the file's, else 0.01.
-    config = load_config_file(args.config) if args.config else {}
-    for key in config:
+    settings = resolve_settings(args)
+    for key in load_config_file(args.config) if args.config else ():
         if key.startswith("environment.") and key != "environment.eps":
             raise ValueError(f"{args.config}: {key}: compare-lb always runs the example "
                              "family; of the environment keys it reads only environment.eps")
-    if args.eps is not None:
-        eps = args.eps
-    elif "environment.eps" in config:
-        eps = _read_config_value(args.config, config, "environment.eps", float)
-    else:
-        eps = 0.01
+    eps, horizon = settings["environment.eps"], settings["run.horizon"]
+    seeds = settings["run.seeds"]
     # The closed forms also check eps's range, before any episode runs.
     base, pert = closed_form_example_optimum(0.0), closed_form_example_optimum(eps)
-    horizon = args.horizon if args.horizon is not None else 100_000
-    seeds = parse_seed_spec(args.seeds or "10")
-    out_dir = args.out
+    out_dir = settings.pop("output.dir")  # the rest is the report's config
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
@@ -479,7 +484,7 @@ def cmd_compare_lb(args) -> int:
     gap = abs((pert.v_s + pert.alpha) - (base.v_s + base.alpha))
     formula_gap = 360.0 * eps / (29.0 * (29.0 - 10.0 * eps))
     report = {
-        "horizon": horizon, "seeds": seeds, "eps": eps, "arms": arms,
+        "config": settings, "horizon": horizon, "seeds": seeds, "eps": eps, "arms": arms,
         "oracle_proposed_mean_gap": gap,
         "proposed_mean_gap_closed_form": formula_gap,
     }
@@ -499,9 +504,7 @@ def cmd_validate(args) -> int:
     if args.out:
         payload = [{"name": r.name, "passed": r.passed, "detail": r.detail,
                     "elapsed": round(r.elapsed, 2)} for r in results]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_summary_json(payload, args.out)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
@@ -511,24 +514,6 @@ def cmd_validate(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_env_flags(sub) -> None:
-    sub.add_argument("--preset", choices=PRESETS, help="built-in market")
-    sub.add_argument("--eps", type=float, help="example-family perturbation")
-    sub.add_argument("--market", help="market text file (overrides presets)")
-    sub.add_argument("--lb-j", type=int, help="lowerbound preset: bumped index")
-    sub.add_argument("--lb-d", type=int, help="lowerbound preset: grid size")
-    sub.add_argument("--config", help="flat key=value configuration file")
-
-
-def _add_agent_flags(sub) -> None:
-    sub.add_argument("--agent", choices=AGENT_KINDS, help="agent to run")
-    sub.add_argument("--mode", choices=CONSTANT_MODES, help="constant schedule")
-    sub.add_argument("--scale-factor", type=float, help="scaled-mode knob c")
-    sub.add_argument("--epsilon", type=float, help="confidence error budget")
-    sub.add_argument("--relaxation-L", dest="relaxation_l", type=float,
-                     help="band multiplier in the revenue floor")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairprice",
@@ -536,44 +521,31 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="fair-optimal policy of a market")
-    _add_env_flags(solve)
-    solve.add_argument("--horizon", "-T", type=int,
-                       help="horizon (only the lowerbound preset needs it)")
     solve.add_argument("--out", help="write a JSON report here")
     solve.set_defaults(func=cmd_solve)
 
     run = subs.add_parser("run", help="simulate episodes, write traces")
-    _add_env_flags(run)
-    _add_agent_flags(run)
-    run.add_argument("--horizon", "-T", type=int, help="rounds per episode")
-    run.add_argument("--seeds", help="seed spec (count, range, or list)")
-    run.add_argument("--record-every", type=int,
-                     help="trace row interval (default horizon/10000)")
     run.add_argument("--emit", default="trace,summary",
                      help="comma list from {trace,summary}")
-    run.add_argument("--out", help="output directory")
     run.set_defaults(func=cmd_run)
 
     sweep = subs.add_parser("sweep", help="horizon sweep with slope fits")
-    _add_env_flags(sweep)
-    _add_agent_flags(sweep)
-    sweep.add_argument("--horizons", help="comma-separated horizons (>= 3)")
-    sweep.add_argument("--seeds", help="seed spec (>= 5 seeds)")
     sweep.add_argument("--emit", default="summary",
                        help="comma list from {trace,summary}")
-    sweep.add_argument("--out", help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 
     compare = subs.add_parser(
         "compare-lb", help="paired run on the indistinguishable pair")
-    _add_agent_flags(compare)
-    compare.add_argument("--config", help="flat key=value configuration file")
-    compare.add_argument("--eps", type=float,
-                         help="perturbation (else environment.eps, else 0.01)")
-    compare.add_argument("--horizon", "-T", type=int, help="rounds per episode")
-    compare.add_argument("--seeds", help="seed spec (default 10)")
-    compare.add_argument("--out", help="output directory")
     compare.set_defaults(func=cmd_compare_lb)
+
+    for command, keys, _ in COMMANDS:
+        sub = subs.choices[command]
+        sub.add_argument("--config", help="flat key=value configuration file")
+        for key, flags, read, _, help_text, allowed in SETTINGS:
+            if key in keys:
+                # A spec's flag stays text, so its error names the spec.
+                sub.add_argument(*flags, dest=key, choices=allowed, help=help_text,
+                                 type=read if read in (int, float) else None)
 
     validate = subs.add_parser("validate", help="run the acceptance suite")
     validate.add_argument("--out", help="write JSON results here")

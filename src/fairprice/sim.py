@@ -383,9 +383,10 @@ _CSV_WRITE_ROWS = 256
 _DEKKER_SPLIT = 2.0 ** 27 + 1.0
 # Decimal exponents e (10**e <= |x| < 10**(e + 1)) whose 17 digits
 # _g17_decimal certifies.  It scales |x| by 10**(16 - e) with one exact
-# power of ten (-6 <= e <= 16), two of them (e down to -28) or one divisor
-# (e up to 38); 1e22 is the largest power of ten a float64 holds exactly.
-_G17_EXPONENTS = (-28, 38)
+# power of ten (-6 <= e <= 16) or two of them (e down to -28); 1e22 is the
+# largest power of ten a float64 holds exactly.  No trace value reaches
+# 1e17: a running total is at most the horizon.
+_G17_EXPONENTS = (-28, 16)
 # How far from a rounding tie, in units of the 17th digit, an inexactly
 # scaled value must lie for its rounding to be certified: 2**7 times the
 # scaling's error bound (see _g17_decimal).
@@ -413,22 +414,17 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _g17_scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(hi, lo, exact)``: a * 10**(16 - e) = hi + lo, with hi its float64
     rounding (an integer from 2**53 on), exactly where ``exact`` and within
-    the bound of :func:`_g17_decimal` elsewhere."""
-    k = np.clip(16 - e, -22, 44)
-    hi, lo = _two_product(a, _POW10[np.clip(k, 0, 22)])
+    the bound of :func:`_g17_decimal` elsewhere.  An e one past an end of
+    ``_G17_EXPONENTS`` (never certified) scales as at that end."""
+    k = np.clip(16 - e, 0, 44)
+    hi, lo = _two_product(a, _POW10[np.minimum(k, 22)])
     far = np.flatnonzero(k > 22)
     if far.size:  # a second factor c: (hi + lo) * c = hi * c + lo * c
         c = _POW10[k[far] - 22]
         err = lo[far]
         hi[far], lo[far] = _two_product(hi[far], c)
         lo[far] += err * c
-    div = np.flatnonzero(k < 0)
-    if div.size:  # a corrected quotient: lo = (a - hi * c) / c
-        c = _POW10[-k[div]]
-        hi[div] = q = a[div] / c
-        p, err = _two_product(q, c)
-        lo[div] = ((a[div] - p) - err) / c
-    return hi, lo, (k >= 0) & (k <= 22)
+    return hi, lo, k <= 22
 
 
 def _g17_off(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -445,13 +441,12 @@ def _g17_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d and e hold where ``certified``: x finite and nonzero, e within
     ``_G17_EXPONENTS``, and the rounding decided.  The scaled value
     y = |x| * 10**(16 - e) is hi + lo (:func:`_g17_scaled`), exactly for
-    0 <= 16 - e <= 22, ties included.  Elsewhere hi + lo is within 2**-47
-    of y.  As y < 2**57, each term that makes lo is below 16.01: with two
-    factors, the second two-product's error (at most half an ulp of hi) and
-    the first one's error times the second factor (at most 2**-53 of y);
-    with the quotient, its residual over the divisor (at most half an ulp
-    of hi).  lo takes two roundings, each at most 2**-53 of a value below
-    32.  So there the rounding is certified only when lo lies
+    0 <= 16 - e <= 22, ties included.  Elsewhere (two factors) hi + lo is
+    within 2**-47 of y.  As y < 2**57, each term that makes lo is below
+    16.01: the second two-product's error (at most half an ulp of hi) and
+    the first one's error times the second factor (at most 2**-53 of y).
+    lo takes two roundings, each at most 2**-53 of a value below 32.  So
+    there the rounding is certified only when lo lies
     ``_G17_TIE_MARGIN`` or more inside its rounding interval: no error
     within the bound can cross a tie.
     """
@@ -660,9 +655,9 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
                 fh.write(text[rows:rows + _CSV_WRITE_ROWS].tobytes().translate(None, b"\0"))
 
 
-def write_summary_json(summary: dict, path: str) -> None:
-    """Write the summary as strict JSON: a NaN or an infinity raises
-    ValueError before the file is opened."""
+def write_summary_json(summary: dict | list, path: str) -> None:
+    """Write the summary as strict JSON, keys sorted, with a final newline:
+    a NaN or an infinity raises ValueError before the file is opened."""
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")

@@ -7,11 +7,9 @@ share as little code as possible with the library proper: closed forms are
 hand-expanded rationals, the solver is cross-examined against a dense simplex
 enumeration, and the LP solver against brute-force vertex inspection.
 
-Budget notes, as ``fairprice validate --out`` records them on 2 cores: the
-suite takes about 16 s.  The brute-force agreement check takes about 8 s;
-the scaling and retention checks run full simulated episodes (13.1
-million rounds in all) in about 3.5 s and 2 s; every other check takes
-under 2 s.
+The brute-force agreement check takes the most time, then the scaling and
+retention checks, which run full simulated episodes; README gives each
+one's time as ``fairprice validate --out`` records it.
 """
 
 from __future__ import annotations
@@ -197,7 +195,7 @@ def check_closed_form_golden() -> CheckResult:
                    f"worst deviation {errs[worst]:.2e} ({worst}), tolerance 1e-12")
 
 
-def check_scan_matches_closed_form() -> CheckResult:
+def check_solver_matches_closed_form() -> CheckResult:
     """The exact solver reproduces the family's closed form at several eps."""
     t0 = time.time()
     worst_rev, worst_pol = 0.0, 0.0
@@ -208,7 +206,7 @@ def check_scan_matches_closed_form() -> CheckResult:
         for g in (1, 2):
             worst_pol = max(worst_pol, float(np.max(np.abs(
                 got.policy.weights(g) - ref.policy.weights(g)))))
-    return _finish("scan-vs-closed-form", t0, worst_rev <= 1e-10 and worst_pol <= 1e-10,
+    return _finish("solver-vs-closed-form", t0, worst_rev <= 1e-10 and worst_pol <= 1e-10,
                    f"max revenue err {worst_rev:.2e} (tol 1e-10), "
                    f"max policy err {worst_pol:.2e} (tol 1e-10)")
 
@@ -253,9 +251,9 @@ def check_brute_force_agreement() -> CheckResult:
     worst, worst_idx = 0.0, -1
     for idx in range(20):
         market = random_market(rng)
-        scan = solve_fair_optimal(market)
+        solved = solve_fair_optimal(market)
         dense_rev, _, _ = brute_force_fair_optimal(market)
-        gap = abs(scan.revenue - dense_rev)
+        gap = abs(solved.revenue - dense_rev)
         if gap > worst:
             worst, worst_idx = gap, idx
     return _finish("brute-force-agreement", t0, worst <= 2e-3,
@@ -466,7 +464,7 @@ def check_lowerbound_construction() -> CheckResult:
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_closed_form_golden,
-    check_scan_matches_closed_form,
+    check_solver_matches_closed_form,
     check_parametrized_surface,
     check_brute_force_agreement,
     check_lp_dual_route,

@@ -1,5 +1,6 @@
 """Command-line interface, driven in process through main()."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,17 @@ import pytest
 
 import fairprice
 from fairprice import MarketConfig, market_from_text, market_to_text, solve_fair_optimal
-from fairprice.cli import CONFIG_KEYS, main, parse_horizons, parse_seed_spec, worker_count
-from fairprice.sim import example1_market, example_eps_market
+from fairprice.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
+    SETTINGS,
+    build_parser,
+    main,
+    parse_horizons,
+    parse_seed_spec,
+    worker_count,
+)
+from fairprice.sim import example1_market, example_eps_market, lowerbound_family_market
 from fairprice.validation import CheckResult
 
 
@@ -110,6 +120,18 @@ def test_lowerbound_preset_needs_a_horizon(capsys):
                  "-T", "10000"]) == 0
     out = capsys.readouterr().out
     assert "revenue" in out
+
+
+def test_solve_reads_the_horizon_from_the_config_file(tmp_path):
+    """The lowerbound preset's horizon comes from the file like any other
+    setting."""
+    cfg = tmp_path / "lb.cfg"
+    cfg.write_text("environment.preset = lowerbound\nenvironment.lb_d = 4\n"
+                   "run.horizon = 10000\n")
+    report = tmp_path / "solve.json"
+    assert main(["solve", "--config", str(cfg), "--out", str(report)]) == 0
+    market = market_to_text(lowerbound_family_market(1, 4, 10000))
+    assert json.loads(report.read_text())["market"] == market
 
 
 @pytest.mark.parametrize("command", ["solve", "run"])
@@ -451,6 +473,35 @@ def test_compare_lb_takes_eps_from_the_flag_then_the_file(tmp_path, monkeypatch,
     assert markets == [market_to_text(example_eps_market(e)) for e in (0.0, eps)]
 
 
+def test_compare_lb_takes_its_run_settings_from_the_file_then_the_flags(tmp_path):
+    """run.horizon, run.seeds and output.dir come from the file unless a
+    flag sets them."""
+    out = tmp_path / "from-file"
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text(f"run.horizon = 600\nrun.seeds = 3-4\noutput.dir = {out}\n")
+    assert main(["compare-lb", "--config", str(cfg)]) == 0
+    report = json.loads((out / "compare_lb.json").read_text())
+    assert report["horizon"] == 600 and report["seeds"] == [3, 4]
+    assert [cell["seed"] for cell in report["arms"]["perturbed"]["cells"]] == [3, 4]
+    flagged = tmp_path / "from-flags"
+    assert main(["compare-lb", "--config", str(cfg), "-T", "500", "--seeds", "1",
+                 "--out", str(flagged)]) == 0
+    report = json.loads((flagged / "compare_lb.json").read_text())
+    assert report["horizon"] == 500 and report["seeds"] == [0]
+    assert report["arms"]["base"]["cells"][0]["horizon"] == 500
+
+
+def test_compare_lb_echoes_the_settings_it_ran_with(tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare-lb", "--eps", "0.02", "-T", "800", "--seeds", "2",
+                 "--scale-factor", "3", "--epsilon", "0.1", "--relaxation-L", "0.3",
+                 "--mode", "theory", "--out", str(out)]) == 0
+    assert json.loads((out / "compare_lb.json").read_text())["config"] == {
+        "environment.eps": 0.02, "agent.kind": "fpa", "agent.mode": "theory",
+        "agent.scale_factor": 3.0, "agent.error_prob": 0.1, "agent.relaxation_l": 0.3,
+        "run.horizon": 800, "run.seeds": [0, 1]}
+
+
 @pytest.mark.parametrize("line", [
     "environment.preset = example1", "environment.market_file = m.txt",
     "environment.lb_j = 2", "environment.lb_d = 4"])
@@ -477,6 +528,53 @@ def test_compare_lb_refuses_environment_keys_other_than_eps(tmp_path, monkeypatc
 # ---------------------------------------------------------------------------
 # top-level parser behavior
 # ---------------------------------------------------------------------------
+
+def table_drift(settings, commands, parser) -> list[str]:
+    """Where the settings tables and the parser disagree: for each command of
+    ``commands``, each key whose flags (the options whose dest is a key of
+    ``settings``) the parser gives it otherwise than ``settings`` declares
+    them, gives it without the command listing the key, or leaves out; each
+    flag two of the command's keys share; and each key no command reads."""
+    flags = {row[0]: tuple(row[1]) for row in settings}
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = []
+    for command, keys, _ in commands:
+        given = {action.dest: tuple(action.option_strings)
+                 for action in subs.choices[command]._actions if action.dest in flags}
+        listed = {key: flags[key] for key in keys}
+        found += [f"{command}: {key} has flags {given.get(key)}, the table {listed.get(key)}"
+                  for key in sorted(set(given) | set(listed))
+                  if given.get(key) != listed.get(key)]
+        declared = [flag for key in keys for flag in flags[key]]
+        found += [f"{command}: two keys on {flag}" for flag in sorted(set(declared))
+                  if declared.count(flag) > 1]
+    read = {key for _, keys, _ in commands for key in keys}
+    return found + [f"{key}: read by no command" for key in flags if key not in read]
+
+
+def test_the_check_catches_a_drift_between_the_tables_and_the_parser():
+    settings = (("a.x", ("--x",)), ("a.y", ("--y", "-Y")), ("b.x", ("--x",)),
+                ("c.z", ("--z",)))
+    commands = (("one", ("a.x", "a.y"), ()), ("two", ("a.x", "b.x"), ()))
+    parser = argparse.ArgumentParser()
+    subs = parser.add_subparsers(dest="command")
+    one, two = subs.add_parser("one"), subs.add_parser("two")
+    one.add_argument("--x", dest="a.x")
+    one.add_argument("--y", dest="a.y")          # without -Y
+    one.add_argument("--z", dest="c.z")          # a key the command does not list
+    one.add_argument("--out")                    # not a setting
+    two.add_argument("--x", dest="b.x")          # a.x left out
+    assert table_drift(settings, commands, parser) == [
+        "one: a.y has flags ('--y',), the table ('--y', '-Y')",
+        "one: c.z has flags ('--z',), the table None",
+        "two: a.x has flags None, the table ('--x',)",
+        "two: two keys on --x",
+        "c.z: read by no command"]
+
+
+def test_the_parser_gives_each_command_the_flags_of_its_keys():
+    assert table_drift(SETTINGS, COMMANDS, build_parser()) == []
+
 
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
