@@ -360,14 +360,19 @@ def market_to_text(market: MarketConfig) -> str:
 
 
 def market_from_text(text: str, source: str = "<market text>") -> MarketConfig:
-    """Parse the format written by :func:`market_to_text`.  A repeated key
-    raises ValueError naming ``source`` (the file name) and the line."""
+    """Parse the format written by :func:`market_to_text`.  An unknown or
+    repeated key, or a ``d``, ``q`` or ``f_min`` line without exactly one
+    value, raises ValueError naming ``source`` (the file name) and the line."""
     fields: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, *rest = line.split()
+        if key not in ("d", "q", "f_min", "prices", "accept1", "accept2"):
+            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in ("d", "q", "f_min") and len(rest) != 1:
+            raise ValueError(f"{source}:{lineno}: {key!r} takes one value, not {len(rest)}")
         if fields.setdefault(key, rest) is not rest:
             raise ValueError(f"{source}:{lineno}: repeated key {key!r}")
     try:
@@ -377,7 +382,7 @@ def market_from_text(text: str, source: str = "<market text>") -> MarketConfig:
         prices = [float(x) for x in fields["prices"]]
         f1 = [float(x) for x in fields["accept1"]]
         f2 = [float(x) for x in fields["accept2"]]
-    except (KeyError, IndexError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed market text: {exc}") from exc
     if not (len(prices) == len(f1) == len(f2) == d):
         raise ValueError("market text length fields disagree with d")

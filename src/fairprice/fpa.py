@@ -39,6 +39,7 @@ magnitude at bench horizons) and "scaled" replaces them with a single knob
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -120,16 +121,24 @@ class FpaConfig:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("q must lie strictly inside (0, 1)")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.horizon <= sys.float_info.max:
+            raise ValueError("horizon must be >= 1 and fit in a float")
         if not 0.0 < self.error_prob < 1.0:
             raise ValueError("error_prob must lie strictly inside (0, 1)")
-        if self.relaxation_l < 0.0:
-            raise ValueError("relaxation_l must be >= 0")
+        if not math.isfinite(16.0 * self.grid.d * max(math.log(self.horizon), 1.0)
+                             / self.error_prob):
+            raise ValueError("error_prob is too small: the confidence schedule overflows")
+        if not 0.0 <= self.relaxation_l < math.inf:
+            raise ValueError("relaxation_l must be finite and >= 0")
         if self.constants_mode not in CONSTANT_MODES:
             raise ValueError(f"constants_mode must be one of {CONSTANT_MODES}")
-        if self.scale_factor <= 0.0:
-            raise ValueError("scale_factor must be positive")
+        if not 0.0 < self.scale_factor < math.inf:
+            raise ValueError("scale_factor must be positive and finite")
+        try:
+            epoch_params(self, 1, 1.0)
+        except OverflowError:
+            field = "scale_factor" if self.constants_mode == "scaled" else "q"
+            raise ValueError(f"{field} is too extreme: epoch 1's batch length overflows") from None
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,7 @@ def epoch_params(cfg: FpaConfig, k: int, fmin_hat: Optional[float] = None) -> Ep
     d = cfg.grid.d
     t_len = float(cfg.horizon)
     if cfg.constants_mode == "scaled":
-        tau_exact = cfg.scale_factor * math.sqrt(t_len) * 2.0**k
+        tau_exact = math.ldexp(cfg.scale_factor * math.sqrt(t_len), k)
         delta_r = cfg.scale_factor * SCALED_RADIUS_REVENUE / math.sqrt(tau_exact)
         delta_s = cfg.scale_factor * SCALED_RADIUS_FAIRNESS / math.sqrt(tau_exact)
     else:
@@ -168,7 +177,7 @@ def epoch_params(cfg: FpaConfig, k: int, fmin_hat: Optional[float] = None) -> Ep
         c_q = 3.0 * max(1.0 / cfg.q, 1.0 / (1.0 - cfg.q))
         c_t = max(3.0, math.sqrt(3.0 / fmin_hat))
         log_term = math.log(16.0 * d * max(math.log(t_len), 1.0) / cfg.error_prob)
-        tau_exact = (28.0 * c_q / 3.0) * d * math.sqrt(t_len) * log_term * 2.0**k
+        tau_exact = math.ldexp((28.0 * c_q / 3.0) * d * math.sqrt(t_len) * log_term, k)
         root = math.sqrt(c_q / tau_exact)
         delta_r = 4.0 * c_t * log_term * d**1.5 * root
         delta_s = (32.0 * c_t / fmin_hat**2) * log_term * d**1.5 * root

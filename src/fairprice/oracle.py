@@ -625,25 +625,6 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.sort(roots[(roots >= lo) & (roots <= hi)])
 
 
-def _lead_trimmed(p: np.ndarray) -> np.ndarray:
-    """p without its leading zeros, as np.poly1d keeps it (a zero
-    polynomial keeps one)."""
-    nz = np.flatnonzero(p)
-    return p[nz[0]:] if nz.size else np.zeros(1)
-
-
-def _products(pairs, width: int) -> np.ndarray:
-    """np.polymul of each pair, one row each, right-aligned in width
-    columns.  np.polymul convolves its factors as np.poly1d keeps them, so
-    a product can come out short; the zeros in front are what np.polysub
-    pads with."""
-    out = np.zeros((len(pairs), width))
-    for row, factors in zip(out, pairs):
-        p = np.convolve(*map(_lead_trimmed, factors))
-        row[width - p.size:] = p
-    return out
-
-
 def _fit_basis(nodes: _Rows, rows, cols) -> np.ndarray:
     """A basis (its rows solved over its columns) fitted in u from the rows
     at the fit nodes.  At most three rows move with v_s, affinely (group 1's
@@ -734,7 +715,7 @@ def _band_pieces(v, entries, weights, lo, hi):
         g1, g2 = e.fhat.group1, e.fhat.group2
         m1, m2 = weights[:, :d] @ g1, weights[:, d:] @ g2
         pairs += [(weights[:, :d] @ (v * g1), m2), (weights[:, d:] @ (v * g2), m1), (m1, m2)]
-    prods = _products(pairs, 2 * _FIT_NODES.size - 1)
+    prods = np.array([np.convolve(*pair) for pair in pairs])
     gap = prods[0::3] - prods[1::3]
     # Half MEMBER_TOL of room: the current snapshot's band binds wherever
     # its LP row does, and every piece end must pass the membership test.
@@ -763,9 +744,8 @@ def _basis_points(v, entries, coef, cols, lo, hi, objectives):
     starts, ends = _band_pieces(v, entries, weights, lo, hi)
     nums = [weights @ obj for obj in objectives]
     der = np.polyder(den)
-    prods = _products([(np.polyder(num), den) for num in nums] + [(num, der) for num in nums],
-                      2 * _FIT_NODES.size - 2)
-    stationary = _real_roots(prods[:len(nums)] - prods[len(nums):], lo, hi)
+    stationary = _real_roots(np.array([np.convolve(np.polyder(num), den) - np.convolve(num, der)
+                                       for num in nums]), lo, hi)
     inside = np.any((stationary[:, None] >= starts) & (stationary[:, None] <= ends), axis=1)
     points = np.unique(np.concatenate([starts, ends, stationary[inside]]))
     scale, at = np.max(np.abs(den)), np.polyval(den, points)

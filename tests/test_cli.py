@@ -222,6 +222,21 @@ def test_agent_errors_are_one_line(tmp_path, capsys, monkeypatch, threads):
     assert err.startswith("error: episode T=2000 seed=0:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--scale-factor", "inf", "scale_factor"), ("--scale-factor", "nan", "scale_factor"),
+    ("--epsilon", "1e-320", "error_prob"),
+    ("--relaxation-L", "nan", "relaxation_l"), ("--relaxation-L", "inf", "relaxation_l"),
+])
+def test_agent_settings_without_a_schedule_are_one_line(tmp_path, capsys, flag, value, field):
+    """Settings whose schedule cannot be computed stop before the first
+    round, with one line naming the setting."""
+    argv = ["run", "--preset", "example1", "-T", "2000", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_usage_errors(tmp_path, capsys):
     assert main(["run", "--preset", "example1"]) == 2          # no horizon
     assert "error:" in capsys.readouterr().err

@@ -362,6 +362,25 @@ def test_market_text_rejects_a_repeated_key(key):
         market_from_text(text + "\n" + line, "m.txt")
 
 
+def test_market_text_rejects_an_unknown_key():
+    """A misspelt ``f_min`` is an error, not the default floor."""
+    text = market_to_text(example1_market())
+    with pytest.raises(ValueError, match=r"^m\.txt:8: unknown key 'f_mn'$"):
+        market_from_text(text + "f_mn 0.5\n", "m.txt")
+    with pytest.raises(ValueError, match=r"^<market text>:1: unknown key 'colour'$"):
+        market_from_text("colour red\n" + text)
+
+
+def test_market_text_rejects_a_scalar_line_with_other_than_one_value():
+    text = market_to_text(example1_market())
+    with pytest.raises(ValueError, match=r"^m\.txt:3: 'q' takes one value, not 2$"):
+        market_from_text(text.replace("\nq ", "\nq 0.9 "), "m.txt")
+    with pytest.raises(ValueError, match=r"^<market text>:2: 'd' takes one value, not 0$"):
+        market_from_text(text.replace("d 3", "d"))
+    with pytest.raises(ValueError, match=r"^<market text>:4: 'f_min' takes one value, not 2$"):
+        market_from_text(text.replace("\nf_min ", "\nf_min 0.1 "))
+
+
 _TEXT_KEYS = ("d", "q", "f_min", "prices", "accept1", "accept2", "#", "x")
 _TEXT_TOKENS = st.one_of(
     st.integers(-3, 9).map(str),

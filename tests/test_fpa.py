@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairprice.fpa
 from fairprice import (
@@ -55,6 +57,54 @@ def test_config_rejects_degenerate_q():
     market = example1_market()
     with pytest.raises(ValueError):
         FpaConfig(grid=market.grid, q=0.0, horizon=100)
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"scale_factor": math.inf}, "scale_factor"),
+    ({"scale_factor": math.nan}, "scale_factor"),
+    ({"scale_factor": 1e308}, "scale_factor"),          # epoch 1's tau overflows
+    ({"relaxation_l": math.inf}, "relaxation_l"),
+    ({"relaxation_l": math.nan}, "relaxation_l"),
+    ({"error_prob": 1e-320}, "error_prob"),             # 16 / error_prob overflows
+    ({"error_prob": math.nan}, "error_prob"),
+    ({"horizon": 10**400}, "horizon"),                  # float() cannot hold it
+    ({"q": 1e-305, "constants_mode": "theory"}, "q"),   # c_q overflows epoch 1's tau
+])
+def test_config_rejects_settings_whose_schedule_it_cannot_compute(kw, field):
+    market = example1_market()
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        FpaConfig(**{"grid": market.grid, "q": market.q, "horizon": 2000, **kw})
+
+
+@settings(max_examples=60)
+@given(horizon=st.integers(1, 10**9),
+       error_prob=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       scale_factor=st.floats(0.0, 1e300, exclude_min=True),
+       q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       mode=st.sampled_from(fairprice.fpa.CONSTANT_MODES))
+def test_accepted_configs_have_a_finite_schedule(horizon, error_prob, scale_factor, q, mode):
+    """Every configuration FpaConfig accepts has a warmup and, for every
+    epoch that starts before the horizon, finite epoch parameters (the
+    theory radii at the smallest floor a warmup can estimate)."""
+    try:
+        cfg = FpaConfig(example1_market().grid, q, horizon, error_prob=error_prob,
+                        constants_mode=mode, scale_factor=scale_factor)
+    except ValueError:
+        return
+    t = warmup_length(cfg)
+    fmin_hat, k = 0.5 / t, 0
+    while t < horizon:
+        k += 1
+        params = epoch_params(cfg, k, fmin_hat)
+        assert math.isfinite(params.delta_r) and math.isfinite(params.delta_s)
+        t += params.tau
+
+
+def test_tiny_scale_factors_double_past_2_to_the_1024():
+    """Epoch k's batch is c sqrt(T) 2^k, formed without 2.0**k, which
+    overflows at k = 1024 although the product does not."""
+    cfg = _config(2000, scale_factor=1e-320)
+    assert epoch_params(cfg, 1100).tau == math.ceil(math.ldexp(1e-320 * math.sqrt(2000.0), 1100))
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from fairprice import (
 )
 from fairprice import oracle
 from fairprice.core import GroupDistribution
+from fairprice.fpa import DegenerateDemandError
 from fairprice.linsolve import OPTIMAL, LinearProgram, lp_maximize, vertex_enumerate
 from fairprice.oracle import ParamPoint
 from fairprice.validation import brute_force_fair_optimal
@@ -1201,3 +1202,34 @@ def test_every_incumbent_is_a_member_of_its_own_snapshot():
     agent = _IncumbentChecked(FpaConfig(grid=market.grid, q=market.q, horizon=20_000, seed=133))
     run_episode(agent, market, 20_000, seed=133, record_every=10**9)
     assert agent.misses == [], "epochs whose incumbent misses its own snapshot"
+
+
+def _check_episode(market, horizon, seed):
+    """An FPA episode on market records all T rounds, or raises
+    DegenerateDemandError (the one-line error), and every round's U stays
+    within 1e-9."""
+    agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=horizon, seed=seed))
+    try:
+        trace = run_episode(agent, market, horizon, seed=seed)
+    except DegenerateDemandError:
+        return
+    records = trace.records
+    assert [r.t for r in records] == list(range(1, horizon + 1))
+    assert max(r.inst_u for r in records) <= 1e-9
+    assert trace.max_inst_u <= 1e-9
+
+
+# The part of ROADMAP item 4's property that holds today; incumbent
+# membership stays with the strict xfail above.
+@settings(max_examples=12)
+@given(d=st.integers(1, 8), market_seed=st.integers(0, 2**32 - 1),
+       horizon=st.integers(1, 2_000), seed=st.integers(0, 2**16))
+def test_fpa_episodes_finish_with_zero_procedural_gap(d, market_seed, horizon, seed):
+    _check_episode(_random_market(np.random.default_rng(market_seed), d), horizon, seed)
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_fpa_episodes_at_every_d_finish_with_zero_procedural_gap(s):
+    """One full-length episode per d = 1..8, on item 4's markets
+    _random_market(default_rng(10000 + s), 1 + s % 8)."""
+    _check_episode(_random_market(np.random.default_rng(10000 + s), 1 + s % 8), 2_000, s)
