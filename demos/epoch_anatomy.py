@@ -3,8 +3,9 @@
 Runs the phased agent once at T = 10,000 on the worked example and narrates
 what the schedule did: the top-price warmup, each epoch's batch length and
 confidence radii, the acceptance estimates behind each elimination snapshot,
-whether the known optimum survived every cut, and the diagnostic the agent
-reports for the final, never-finished epoch.
+whether the known optimum survived every cut, and the snapshot of the final,
+never-finished epoch, which stays in its record and out of the ledger.  It
+reads everything from ``agent.epochs``, one record per epoch.
 """
 
 from fairprice import (
@@ -35,31 +36,34 @@ def main():
           f"acceptance floor estimate {agent.fmin_hat:.3f}")
 
     print("\nepochs (batch length doubles, radii shrink by sqrt 2):")
-    for info in agent.epochs_info:
-        print(f"  epoch {info['epoch']}: tau {info['tau']:>6}   "
-              f"delta_r {info['delta_r']:.4f}   delta_s {info['delta_s']:.4f}   "
-              f"policies carried {info['n_active']}")
+    for record in agent.epochs:
+        params = record.params
+        print(f"  epoch {params.epoch}: tau {params.tau:>6}   "
+              f"delta_r {params.delta_r:.4f}   delta_s {params.delta_s:.4f}   "
+              f"policies carried {len(record.policies)}")
 
     print("\nelimination snapshots:")
     t = agent.tau0
-    for k, (entry, info) in enumerate(zip(agent.ledger, agent.epochs_info), 1):
-        # Each snapshot closes its epoch; the optimum survived it if it is a
-        # member of the ledger as it stood then.
-        t += info["run_len"]
-        ok = member(optimum.policy, EliminationLedger(market.grid, market.q,
-                                                      agent.ledger.entries[:k]))
-        f1 = " ".join(f"{x:.3f}" for x in entry.fhat.group1)
-        f2 = " ".join(f"{x:.3f}" for x in entry.fhat.group2)
-        verdict = "kept the optimum" if ok else "DROPPED the optimum"
-        print(f"  after epoch {entry.epoch} (t={t:>5}): floor {entry.revenue_floor:.4f}, "
-              f"band {entry.delta_s:.4f} -> {verdict}")
+    for k, record in enumerate(agent.epochs):
+        t += record.run_len
+        snap = record.snapshot
+        if record.truncated:
+            # The horizon cut this epoch short: its snapshot stays in its
+            # record and never reaches the ledger.
+            print(f"  epoch {snap.epoch} (t={t:>5}) ran out of horizon after {record.run_len} "
+                  f"of its {record.params.tau} rounds; had it finished, its snapshot "
+                  f"would have set floor {snap.revenue_floor:.4f}")
+        else:
+            # Each snapshot closes its epoch; the optimum survived it if it
+            # is a member of the ledger as it stood then.
+            ok = member(optimum.policy, EliminationLedger(market.grid, market.q,
+                                                          agent.ledger.entries[:k + 1]))
+            verdict = "kept the optimum" if ok else "DROPPED the optimum"
+            print(f"  after epoch {snap.epoch} (t={t:>5}): floor {snap.revenue_floor:.4f}, "
+                  f"band {snap.delta_s:.4f} -> {verdict}")
+        f1 = " ".join(f"{x:.3f}" for x in snap.fhat.group1)
+        f2 = " ".join(f"{x:.3f}" for x in snap.fhat.group2)
         print(f"      fhat group1 [{f1}]  group2 [{f2}]")
-
-    diag = agent.truncated_diagnostic
-    if diag is not None:
-        print(f"\nepoch {diag['epoch']} ran out of horizon after "
-              f"{diag['rounds_used']} of its rounds; had it finished, its "
-              f"snapshot would have set floor {diag['revenue_floor']:.4f}")
 
     print(f"\ntotals: regret {trace.cum_regret:.2f}, "
           f"cumulative S {trace.cum_s:.2f}, cumulative U {trace.cum_u:.2e}")

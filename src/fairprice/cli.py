@@ -51,6 +51,7 @@ from .fpa import (
     FpaConfig,
     ProtocolError,
 )
+from .linsolve import ROUNDING_TOL
 from .oracle import solve_fair_optimal
 from .sim import (
     BASELINE_KINDS,
@@ -397,8 +398,11 @@ def cmd_run(args) -> int:
 
 
 def _fit_slope(horizons: Sequence[int], means: Sequence[float]) -> Optional[float]:
-    """Log-log slope of the means; None when a mean has no logarithm (<= 0)."""
-    if min(means) <= 0.0:
+    """Log-log slope of the means; None when some horizon's mean per round is
+    at most ``ROUNDING_TOL``: a zero mean has no logarithm, and a mean of
+    rounding noise (a policy's two accepted means, equal in exact
+    arithmetic, can differ in the last bit) has no rate to fit."""
+    if min(mean / horizon for horizon, mean in zip(horizons, means)) <= ROUNDING_TOL:
         return None
     return float(np.polyfit(np.log10(horizons), np.log10(means), 1)[0])
 

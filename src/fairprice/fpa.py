@@ -19,16 +19,28 @@ Schedule:
 
 The warmup and each epoch end when their last batch is spent.
 
-When nothing survives the ledger the agent still plays, and says so in its
-flags:
+Each epoch leaves one :class:`EpochRecord` in ``FpaAgent.epochs``, the
+agent's only diagnostic store: its schedule and run length, the policies
+it mixes, the probes that found no ledger member, whether it fell back to
+one policy and, once it closes, its snapshot.  ``meta()`` alone renders the
+records as the summary JSON's ``flags`` strings, ``epochs`` dicts and
+``truncated_diagnostic``, so the summary JSON keeps its keys and its bytes.
+
+When nothing survives the ledger the agent still plays, and its record
+says so:
 
 * no probe keeps a policy — the epoch plays the incumbent alone, or the top
-  price if there is no incumbent yet (``empty_active_set:e<k>``);
+  price if there is no incumbent yet (``fell_back``; flag
+  ``empty_active_set:e<k>``);
 * the optimizer finds no member of the ledger — the incumbent becomes the
   best fixed price by estimated revenue, the ledger ignored
-  (``optimizer_ledger_infeasible:e<k>``).
+  (``optimizer_infeasible``; flag ``optimizer_ledger_infeasible:e<k>``).
 
-So the policy played can be a non-member of the ledger.
+So the policy played can be a non-member of the ledger.  A probe that finds
+no member is listed in ``infeasible_probes`` (flag
+``probe_ledger_infeasible:e<k>:g<g>:i<i>``).  An epoch the horizon cuts
+short keeps its snapshot in its record but not in the ledger (flag
+``epoch_truncated:e<k>``).
 
 Radii halve every epoch as batch lengths double.  Two constant schedules are
 built in: "theory" uses the analysis constants (conservative by orders of
@@ -41,7 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -151,6 +163,29 @@ class EpochParams:
     delta_s: float
 
 
+@dataclass
+class EpochRecord:
+    """One epoch as the agent ran it: its nominal schedule, the rounds it
+    ran (``run_len``, short of ``params.tau`` only when the horizon cut it),
+    the policies it mixes, each (group, price) probe that found no ledger
+    member, and whether no probe kept a policy, so that it plays one
+    fallback policy.  Its snapshot and whether the optimizer found no
+    member are filled in when the epoch closes; the snapshot joins the
+    ledger only when the epoch ran in full."""
+
+    params: EpochParams
+    run_len: int
+    policies: tuple[PolicyPair, ...]
+    infeasible_probes: tuple[tuple[int, int], ...]
+    fell_back: bool
+    snapshot: Optional[LedgerEntry] = None
+    optimizer_infeasible: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.run_len < self.params.tau
+
+
 def warmup_length(cfg: FpaConfig) -> int:
     """Rounds spent posting the top price before epoch 1 (at least one)."""
     return max(1, math.ceil(2.0 * math.log(cfg.horizon) * math.log(16.0 / cfg.error_prob)))
@@ -222,13 +257,10 @@ class FpaAgent:
         self.fmin_hat: Optional[float] = None
         self.incumbent: Optional[PolicyPair] = None
         self.price_sets = (set(range(self.d)), set(range(self.d)))
-        self.flags: list[str] = []
-        self.epochs_info: list[dict] = []
-        self.truncated_diagnostic: Optional[dict] = None
+        self.epochs: list[EpochRecord] = []
 
         self._pending: Optional[tuple[int, int]] = None
         self._pending_batch: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._params: Optional[EpochParams] = None
         # The batch being played (its policy, sampling tables and rounds
         # left), then the epoch's queued batches.  The warmup has no tables:
         # it posts the top price and draws nothing.
@@ -236,7 +268,6 @@ class FpaAgent:
         self._cums: Optional[tuple[list[float], list[float]]] = None
         self._batch_left = self.tau0
         self._queue: list[tuple[PolicyPair, tuple, int]] = []
-        self._epoch_truncated = False
         self._m = np.zeros((2, self.d), dtype=np.int64)
         self._n = np.zeros((2, self.d), dtype=np.int64)
 
@@ -372,37 +403,31 @@ class FpaAgent:
 
     def _start_epoch(self, k: int) -> None:
         self.epoch = k
-        self._params = epoch_params(self.cfg, k, self.fmin_hat)
-        remaining = self.cfg.horizon - self.t
-        run_len = min(self._params.tau, remaining)
-        self._epoch_truncated = run_len < self._params.tau
+        params = epoch_params(self.cfg, k, self.fmin_hat)
+        run_len = min(params.tau, self.cfg.horizon - self.t)
 
         keep_threshold = 1.0 / math.sqrt(self.cfg.horizon)
-        active: list[PolicyPair] = []
-        seen: set[tuple] = set()
+        infeasible: list[tuple[int, int]] = []  # (group, price) of each memberless probe
         if not self.ledger.entries:
             # Nothing eliminated yet: every surviving price takes full weight.
-            for i in sorted(self.price_sets[0] | self.price_sets[1]):
-                active.append(fixed_price_policy(self.d, i))
+            active = [fixed_price_policy(self.d, i)
+                      for i in sorted(self.price_sets[0] | self.price_sets[1])]
         else:
             latest = self.ledger.latest
             probes = [(i, g) for g in (1, 2) for i in sorted(self.price_sets[g - 1])]
             results = max_probability_policies(probes, latest.fhat, self.ledger,
                                                latest.delta_s, cfg=self.oracle_cfg)
+            infeasible = [(g, i) for (i, g), res in zip(probes, results) if res.ledger_infeasible]
+            kept: dict[tuple, PolicyPair] = {}  # the first policy of each distinct weighting
             for (i, g), res in zip(probes, results):
-                if res.ledger_infeasible:
-                    self.flags.append(f"probe_ledger_infeasible:e{k}:g{g}:i{i}")
                 if res.policy is not None and res.achieved_prob >= keep_threshold:
-                    key = _policy_key(res.policy)
-                    if key not in seen:
-                        seen.add(key)
-                        active.append(res.policy)
+                    kept.setdefault(_policy_key(res.policy), res.policy)
                 else:
                     self.price_sets[g - 1].discard(i)
-        if not active:
-            self.flags.append(f"empty_active_set:e{k}")
-            active = [self.incumbent if self.incumbent is not None
-                      else fixed_price_policy(self.d, self.d - 1)]
+            active = list(kept.values())
+        fell_back = not active
+        active = active or [self.incumbent if self.incumbent is not None
+                            else fixed_price_policy(self.d, self.d - 1)]
 
         # Equal batches, the remainder to the last; a short epoch leaves
         # the first batches empty, and those are not queued.
@@ -412,11 +437,8 @@ class FpaAgent:
                        for pol, size in zip(active, sizes) if size]
         self._m[:] = 0
         self._n[:] = 0
-        self.epochs_info.append({
-            "epoch": k, "tau": self._params.tau, "run_len": run_len,
-            "delta_r": self._params.delta_r, "delta_s": self._params.delta_s,
-            "n_active": len(active), "truncated": self._epoch_truncated,
-        })
+        self.epochs.append(EpochRecord(params, run_len, tuple(active), tuple(infeasible),
+                                       fell_back))
 
     def _estimates(self) -> AcceptanceModel:
         """This epoch's acceptance estimates: empirical rate floored at the
@@ -429,37 +451,43 @@ class FpaAgent:
         return AcceptanceModel.from_estimates(fhat[0], fhat[1], f_min=self.fmin_hat)
 
     def _finalize_epoch(self) -> None:
-        fhat = self._estimates()
-        params = self._params
+        record, fhat = self.epochs[-1], self._estimates()
+        params = record.params
         opt = empirical_optimizer(fhat, self.ledger, params.delta_s,
                                   incumbent=self.incumbent, cfg=self.oracle_cfg)
         floor = max(opt.revenue_hat - params.delta_r
                     - self.cfg.relaxation_l * params.delta_s, -1.0)
-        if self._epoch_truncated:
-            # The sample cannot support the nominal radii; keep the ledger as
-            # is (the run is ending) and only report, in the run metadata,
-            # what the next elimination would have looked like.
-            self.flags.append(f"epoch_truncated:e{self.epoch}")
-            self.truncated_diagnostic = {
-                "epoch": self.epoch,
-                "rounds_used": sum(int(x) for x in self._m.sum(axis=0)),
-                "fhat_group1": [float(x) for x in fhat.group1],
-                "fhat_group2": [float(x) for x in fhat.group2],
-                "delta_r": params.delta_r,
-                "delta_s": params.delta_s,
-                "revenue_floor": floor,
-                "optimizer_ledger_infeasible": opt.ledger_infeasible,
-            }
-            return
-        if opt.ledger_infeasible:
-            self.flags.append(f"optimizer_ledger_infeasible:e{self.epoch}")
-        self.ledger.append(LedgerEntry(self.epoch, fhat, params.delta_s, floor))
-        self.incumbent = opt.policy
+        record.snapshot = LedgerEntry(self.epoch, fhat, params.delta_s, floor)
+        record.optimizer_infeasible = opt.ledger_infeasible
+        # A truncated epoch's sample cannot support the nominal radii: its
+        # snapshot stays in its record (the run is ending), out of the ledger.
+        if not record.truncated:
+            self.ledger.append(record.snapshot)
+            self.incumbent = opt.policy
 
     # ------------------------------------------------------------------
 
     def meta(self) -> dict:
-        """JSON-ready snapshot of the agent's run state."""
+        """JSON-ready snapshot of the agent's run state, the epoch records
+        rendered as flag strings, per-epoch dicts and the diagnostic of an
+        epoch the horizon cut short."""
+        flags: list[str] = []
+        truncated = None
+        for r in self.epochs:
+            k, snap = r.params.epoch, r.snapshot
+            flags += [f"probe_ledger_infeasible:e{k}:g{g}:i{i}" for g, i in r.infeasible_probes]
+            if r.fell_back:
+                flags.append(f"empty_active_set:e{k}")
+            if snap is not None and r.truncated:
+                flags.append(f"epoch_truncated:e{k}")
+                truncated = {"epoch": k, "rounds_used": r.run_len,
+                             "fhat_group1": [float(x) for x in snap.fhat.group1],
+                             "fhat_group2": [float(x) for x in snap.fhat.group2],
+                             "delta_r": r.params.delta_r, "delta_s": snap.delta_s,
+                             "revenue_floor": snap.revenue_floor,
+                             "optimizer_ledger_infeasible": r.optimizer_infeasible}
+            elif snap is not None and r.optimizer_infeasible:
+                flags.append(f"optimizer_ledger_infeasible:e{k}")
         return {
             "stage": self.stage,
             "rounds": self.t,
@@ -478,7 +506,8 @@ class FpaAgent:
                 }
                 for e in self.ledger
             ],
-            "truncated_diagnostic": self.truncated_diagnostic,
-            "flags": list(self.flags),
-            "epochs": [dict(info) for info in self.epochs_info],
+            "truncated_diagnostic": truncated,
+            "flags": flags,
+            "epochs": [{**asdict(r.params), "run_len": r.run_len, "n_active": len(r.policies),
+                        "truncated": r.truncated} for r in self.epochs],
         }

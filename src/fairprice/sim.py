@@ -855,7 +855,10 @@ class UcbFixedAgent:
     no rounds goes straight on to the next pick.  mean_j is
     v_j * accepts_j / plays_j from integer counts, so the picks do not
     depend on how the engine cuts a run into blocks.  It posts the same
-    price to either group, so both fairness gaps are identically zero.
+    price to either group, so the proposed-price gap is zero; the accepted
+    means' gap is zero up to rounding, since a fixed price's two accepted
+    means v f / f can differ in the last bit (1.1e-16 per round for the
+    example's 0.7).
     """
 
     def __init__(self, grid: PriceGrid):

@@ -217,7 +217,8 @@ def test_engine_writes_the_loops_bytes(tmp_path, horizon, record_every):
     elif horizon == 60:
         assert tau0 < horizon and agent.epoch == 1 and not agent.ledger
     else:
-        assert "epoch_truncated:e5" in agent.flags and len(agent.ledger) == 4
+        last = agent.epochs[-1]
+        assert last.params.epoch == 5 and last.truncated and len(agent.ledger) == 4
 
 
 def test_engine_cuts_long_batches_into_blocks(tmp_path, monkeypatch):

@@ -243,20 +243,52 @@ def short_run():
 def test_run_follows_the_epoch_schedule(short_run):
     agent, _ = short_run
     assert agent.tau0 == 107
-    assert [e["tau"] for e in agent.epochs_info] == [400, 800, 1600, 3200, 6400]
+    assert [r.params.tau for r in agent.epochs] == [400, 800, 1600, 3200, 6400]
+    assert [r.params.epoch for r in agent.epochs] == [1, 2, 3, 4, 5]
     assert len(agent.ledger) == 4            # epoch 5 never finished
     assert agent.stage == "done"
-    assert "epoch_truncated:e5" in agent.flags
+    assert [r.truncated for r in agent.epochs] == [False] * 4 + [True]
 
 
 def test_truncated_epoch_still_reports_its_elimination(short_run):
     agent, _ = short_run
-    diag = agent.truncated_diagnostic
-    assert diag is not None and diag["epoch"] == 5
+    last = agent.epochs[-1]
     # 10000 - 107 (warmup) - (400 + 800 + 1600 + 3200) = 3893 rounds observed
-    assert diag["rounds_used"] == 3893
-    assert -1.0 <= diag["revenue_floor"] <= 1.0
-    assert len(diag["fhat_group1"]) == 3
+    assert last.params.epoch == 5 and last.run_len == 3893
+    assert last.snapshot is not None and last.snapshot.epoch == 5
+    assert all(last.snapshot is not entry for entry in agent.ledger)
+    assert -1.0 <= last.snapshot.revenue_floor <= 1.0
+    assert len(last.snapshot.fhat.group1) == 3
+    # Every full epoch's snapshot is the ledger entry it wrote.
+    assert [r.snapshot for r in agent.epochs[:-1]] == agent.ledger.entries
+
+
+_EPOCH_KEYS = ("epoch", "tau", "run_len", "delta_r", "delta_s", "n_active", "truncated")
+
+
+def _diagnostics(meta):
+    return {key: meta[key] for key in ("flags", "epochs", "truncated_diagnostic")}
+
+
+# The diagnostics that short_run's summary JSON carries, pinned as literals:
+# meta() renders them from the epoch records, and their bytes must not move.
+SHORT_RUN_DIAGNOSTICS = {
+    "flags": ["epoch_truncated:e5"],
+    "epochs": [dict(zip(_EPOCH_KEYS, row)) for row in [
+        (1, 400, 400, 0.05, 0.04, 3, False),
+        (2, 800, 800, 0.035355339059327376, 0.0282842712474619, 5, False),
+        (3, 1600, 1600, 0.025, 0.02, 6, False),
+        (4, 3200, 3200, 0.017677669529663688, 0.01414213562373095, 6, False),
+        (5, 6400, 3893, 0.0125, 0.01, 6, True),
+    ]],
+    "truncated_diagnostic": {
+        "epoch": 5, "rounds_used": 3893,
+        "fhat_group1": [0.5882352941176471, 0.5327102803738317, 0.49412915851272016],
+        "fhat_group2": [0.8333333333333334, 0.7906976744186046, 0.5195328231977446],
+        "delta_r": 0.0125, "delta_s": 0.01, "revenue_floor": 0.49741172379223725,
+        "optimizer_ledger_infeasible": True,
+    },
+}
 
 
 def test_run_never_pays_procedural_unfairness(short_run):
@@ -275,7 +307,7 @@ def test_meta_is_json_serializable_with_full_history(short_run):
         assert snap["epoch"] == entry.epoch
         np.testing.assert_allclose(snap["group1"], entry.fhat.group1)
         assert snap["delta_s"] == entry.delta_s
-    assert meta["truncated_diagnostic"]["epoch"] == 5
+    assert _diagnostics(meta) == SHORT_RUN_DIAGNOSTICS
     assert isinstance(text, str)
 
 
@@ -409,15 +441,39 @@ class _UnclearableSnapshot:
         return idx
 
 
+# What meta() renders for test_an_unclearable_ledger_falls_back_to_the_incumbent's
+# run, pinned as literals like SHORT_RUN_DIAGNOSTICS: all four flag kinds.
+UNCLEARABLE_DIAGNOSTICS = {
+    "flags": ["optimizer_ledger_infeasible:e1",
+              *(f"probe_ledger_infeasible:e2:g{g}:i{i}" for g in (1, 2) for i in range(3)),
+              "empty_active_set:e2", "optimizer_ledger_infeasible:e2",
+              "empty_active_set:e3", "optimizer_ledger_infeasible:e3",
+              "empty_active_set:e4", "epoch_truncated:e4"],
+    "epochs": [dict(zip(_EPOCH_KEYS, row)) for row in [
+        (1, 179, 179, 0.07476743906106102, 0.05981395124884883, 3, False),
+        (2, 358, 358, 0.052868563172028205, 0.042294850537622566, 1, False),
+        (3, 716, 716, 0.03738371953053051, 0.029906975624424414, 1, False),
+        (4, 1432, 659, 0.026434281586014102, 0.021147425268811283, 1, True),
+    ]],
+    "truncated_diagnostic": {
+        "epoch": 4, "rounds_used": 659,
+        "fhat_group1": [0.24193548387096775] * 3, "fhat_group2": [0.24193548387096775] * 3,
+        "delta_r": 0.026434281586014102, "delta_s": 0.021147425268811283,
+        "revenue_floor": 0.2112717172311914, "optimizer_ledger_infeasible": True,
+    },
+}
+
+
 def test_an_unclearable_ledger_falls_back_to_the_incumbent():
     market = example1_market()
     agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=2000, seed=0))
     wrapped = _UnclearableSnapshot(agent, market)
     trace = run_episode(wrapped, market, 2000, seed=0, oracle_revenue=74.0 / 145.0)
-    assert "optimizer_ledger_infeasible:e1" in agent.flags
-    assert any(f.startswith("probe_ledger_infeasible:e2:") for f in agent.flags)
-    assert "empty_active_set:e2" in agent.flags
-    assert agent.epochs_info[1]["n_active"] == 1
+    first, second = agent.epochs[:2]
+    assert first.optimizer_infeasible and not first.truncated
+    assert second.infeasible_probes == tuple((g, i) for g in (1, 2) for i in range(3))
+    assert second.fell_back and len(second.policies) == 1
+    assert _diagnostics(agent.meta()) == UNCLEARABLE_DIAGNOSTICS
     epoch2 = [(policy, incumbent) for epoch, policy, incumbent in wrapped.played
               if epoch == 2]
     assert epoch2 and all(policy is incumbent for policy, incumbent in epoch2)

@@ -4,17 +4,20 @@ every public function and class is read in the package or exported, no
 cache outlives a call (no module-level dict, list or set but ``__all__``,
 no ``functools`` cache), no random generator or lock is shared (none at
 module level, no ``ctypes``), every tolerance of the algorithm modules
-is a named module-level constant, and every agent plays in blocks (only
-``fpa.FpaAgent`` keeps a per-round protocol)."""
+is a named module-level constant, every agent plays in blocks (only
+``fpa.FpaAgent`` keeps a per-round protocol), and only ``fpa.py`` spells
+the agent's flag strings (everything else reads its epoch records)."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fairprice"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fairprice"
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -304,3 +307,38 @@ def test_the_check_catches_a_per_round_agent():
 def test_only_the_learner_keeps_a_per_round_protocol():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert per_round_agents(sources) == []
+
+
+# The kinds of flag string that FpaAgent.meta() renders from its epoch
+# records for the summary JSON.
+_FLAG_KINDS = ("probe_ledger_infeasible", "empty_active_set", "optimizer_ledger_infeasible",
+               "epoch_truncated")
+_FLAG_WORD = re.compile(r"\b(" + "|".join(_FLAG_KINDS) + r")\b")
+_FLAGS_RENDERED_IN = "fpa.py"
+
+
+def flag_spellings(sources: dict[str, str]) -> list[str]:
+    """``name:kind`` for each flag kind that a source other than ``fpa.py``
+    spells anywhere, code, string or comment: a module that does reads the
+    rendered strings instead of the epoch records' fields."""
+    return [f"{name}:{kind}" for name, source in sorted(sources.items())
+            if Path(name).name != _FLAGS_RENDERED_IN
+            for kind in dict.fromkeys(_FLAG_WORD.findall(source))]
+
+
+def test_the_check_catches_a_spelled_flag():
+    sources = {"src/fairprice/fpa.py": 'f"empty_active_set:e{k}"\n',
+               "src/fairprice/sim.py": ("if 'epoch_truncated:e5' in agent.flags:\n"
+                                        "    pass  # optimizer_ledger_infeasible too\n"),
+               "demos/anatomy.py": ("print(res.ledger_infeasible, agent._epoch_truncated,\n"
+                                    "      [f for f in flags if f.startswith("
+                                    "'probe_ledger_infeasible:')])\n")}
+    assert flag_spellings(sources) == ["demos/anatomy.py:probe_ledger_infeasible",
+                                       "src/fairprice/sim.py:epoch_truncated",
+                                       "src/fairprice/sim.py:optimizer_ledger_infeasible"]
+
+
+def test_only_the_agent_spells_its_flags():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+    assert flag_spellings(sources) == []

@@ -1180,7 +1180,8 @@ def test_d4_runs_keep_the_optimum_in_every_ledger_prefix():
 class _IncumbentChecked(FpaAgent):
     """Records each epoch whose new incumbent is not a member of the ledger
     with the epoch's own snapshot appended, where the optimizer claimed one
-    (no ``optimizer_ledger_infeasible`` flag) and the epoch ran in full."""
+    (its record's ``optimizer_infeasible`` is false) and the epoch ran in
+    full."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -1188,8 +1189,8 @@ class _IncumbentChecked(FpaAgent):
 
     def _finalize_epoch(self):
         super()._finalize_epoch()
-        if (not self._epoch_truncated
-                and f"optimizer_ledger_infeasible:e{self.epoch}" not in self.flags
+        record = self.epochs[-1]
+        if (not record.truncated and not record.optimizer_infeasible
                 and not member(self.incumbent, self.ledger)):
             self.misses.append(self.epoch)
 
@@ -1206,8 +1207,11 @@ def test_every_incumbent_is_a_member_of_its_own_snapshot():
 
 def _check_episode(market, horizon, seed):
     """An FPA episode on market records all T rounds, or raises
-    DegenerateDemandError (the one-line error), and every round's U stays
-    within 1e-9."""
+    DegenerateDemandError (the one-line error); every round's U stays
+    within 1e-9; and every policy that epoch k mixes is a member of the
+    ledger's first k - 1 snapshots, the ledger it was searched under,
+    unless the epoch's record lists a probe that found no member or says it
+    fell back to one policy."""
     agent = FpaAgent(FpaConfig(grid=market.grid, q=market.q, horizon=horizon, seed=seed))
     try:
         trace = run_episode(agent, market, horizon, seed=seed)
@@ -1217,10 +1221,17 @@ def _check_episode(market, horizon, seed):
     assert [r.t for r in records] == list(range(1, horizon + 1))
     assert max(r.inst_u for r in records) <= 1e-9
     assert trace.max_inst_u <= 1e-9
+    entries = agent.ledger.entries
+    for k, record in enumerate(agent.epochs):
+        if record.infeasible_probes or record.fell_back:
+            continue
+        prefix = EliminationLedger(market.grid, market.q, entries[:k])
+        misses = [n for n, policy in enumerate(record.policies) if not member(policy, prefix)]
+        assert misses == [], f"epoch {k + 1} mixes non-members of its ledger"
 
 
-# The part of ROADMAP item 4's property that holds today; incumbent
-# membership stays with the strict xfail above.
+# ROADMAP item 4's property, less incumbent membership, which stays with the
+# strict xfail above.
 @settings(max_examples=12)
 @given(d=st.integers(1, 8), market_seed=st.integers(0, 2**32 - 1),
        horizon=st.integers(1, 2_000), seed=st.integers(0, 2**16))
