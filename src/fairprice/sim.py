@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -255,7 +252,8 @@ class RunTrace:
 
     The kept rows are stored as columns (see ``_ROW_TYPECODES`` and
     ``_BLOCK_TYPECODES``), added a block at a time by :meth:`_append_block`
-    and read through :attr:`records`.
+    and read by :meth:`_columns` alone, for :attr:`records` and
+    :func:`write_trace_csv`.
     """
 
     horizon: int
@@ -304,15 +302,22 @@ class RunTrace:
         for column, values in zip(self._rows, rows):
             column.frombytes(np.ascontiguousarray(values, column.typecode).view(np.uint8))
 
-    def _row_columns(self) -> tuple:
-        """Iterables over the kept rows, one value per row each: the five
-        row fields from ``t`` to ``reward``, the row's block fields as one
-        tuple (inst_regret, inst_s, inst_u, epoch), then the four running
-        totals."""
-        starts, *shared = self._blocks
-        ends = chain(starts[1:], (len(self._rows[0]),))
-        per_row = chain.from_iterable(map(repeat, zip(*shared), map(operator.sub, ends, starts)))
-        return (*self._rows[:5], per_row, *self._rows[5:])
+    def _kept(self) -> int:
+        """How many rows the trace keeps."""
+        return len(self._rows[0])
+
+    def _columns(self, start: int, stop: int) -> list[np.ndarray]:
+        """Kept rows ``start`` to ``stop - 1`` as 13 columns in
+        :class:`RoundRecord` field order, ``accepted`` as bool: each block
+        field is expanded to the rows by one search over the block starts.
+        The one reader of the trace's columns."""
+        t, group, price_index, accepted, reward, *totals = (
+            np.frombuffer(c, c.typecode)[start:stop] for c in self._rows)
+        starts, *shared = (np.frombuffer(c, c.typecode) for c in self._blocks)
+        block = np.searchsorted(starts, np.arange(start, start + t.size), side="right") - 1
+        inst_regret, inst_s, inst_u, epoch = (column[block] for column in shared)
+        return [t, group, price_index, accepted.astype(bool), reward, inst_regret, inst_s,
+                inst_u, *totals, epoch]
 
     def summary(self) -> dict:
         return {
@@ -329,15 +334,11 @@ class RunTrace:
         }
 
 
-def _record(t, group, price_index, accepted, reward, shared, cum_regret, cum_s, cum_u,
-            cum_reward) -> RoundRecord:
-    return RoundRecord(t, group, price_index, bool(accepted), reward, *shared[:3],
-                       cum_regret, cum_s, cum_u, cum_reward, shared[3])
-
-
 class _Records(Sequence):
     """Read-only view of a :class:`RunTrace`'s kept rows: an index reads a
-    :class:`RoundRecord`, a slice a list of them."""
+    :class:`RoundRecord`, a slice a list of them.  Every read goes through
+    :meth:`RunTrace._columns`: an index reads its row, a slice its span once,
+    iteration ``_CSV_CHUNK_ROWS`` rows at a time."""
 
     __slots__ = ("_trace",)
 
@@ -345,24 +346,27 @@ class _Records(Sequence):
         self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._trace._rows[0])
+        return self._trace._kept()
 
     def __getitem__(self, index):
-        n = len(self)
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(n))]
-        k = operator.index(index)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("record index out of range")
-        starts, *shared = self._trace._blocks
-        block = bisect_right(starts, k) - 1
-        rows = [column[k] for column in self._trace._rows]
-        return _record(*rows[:5], tuple(column[block] for column in shared), *rows[5:])
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self[rows:rows + 1][0]
+        if not rows:
+            return []
+        low, high = sorted((rows[0], rows[-1]))
+        columns = self._trace._columns(low, high + 1)
+        return list(_as_records(c[rows[0] - low::rows.step] for c in columns))
 
     def __iter__(self):
-        return map(_record, *self._trace._row_columns())
+        for start in range(0, len(self), _CSV_CHUNK_ROWS):
+            yield from _as_records(self._trace._columns(start, start + _CSV_CHUNK_ROWS))
+
+
+def _as_records(columns) -> Iterator[RoundRecord]:
+    """One :class:`RoundRecord` per row of ``columns``, with Python int,
+    bool and float fields."""
+    return map(RoundRecord, *(column.tolist() for column in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +374,11 @@ class _Records(Sequence):
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = (",".join(RoundRecord._fields) + "\r\n").encode()
-# Rows formatted at a time.  A slice's text is a byte matrix of about 300
-# bytes a row, built from about 700 bytes a row of temporaries: at 2,048
-# rows the writer adds about 1.2 MB to the peak RSS of a benchmark run
-# that peaks while writing, and larger slices were no faster (CHANGES.md).
+# Rows formatted, or read as records, at a time.  A slice's text is a byte
+# matrix of about 300 bytes a row, built from about 700 bytes a row of
+# temporaries: at 2,048 rows the writer adds about 1.2 MB to the peak RSS
+# of a benchmark run that peaks while writing, and larger slices were no
+# faster (CHANGES.md).
 _CSV_CHUNK_ROWS = 2048
 # Rows of a slice's text turned into bytes and written at a time, so that
 # copy stays small.
@@ -615,23 +620,19 @@ def _left_aligned(text: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csv_text(columns: list[np.ndarray], blocks: list[np.ndarray], start: int,
-              stop: int) -> np.ndarray:
-    """The CSV lines of kept rows ``start`` to ``stop - 1``, one row of
-    bytes each, with zero bytes to drop."""
-    t, group, price_index, accepted, reward, *totals = (c[start:stop] for c in columns)
-    starts, *shared = blocks
-    block = np.searchsorted(starts, np.arange(start, start + t.size), side="right") - 1
-    inst = [metric[block] for metric in shared[:3]]
+def _csv_text(columns: list[np.ndarray]) -> np.ndarray:
+    """The CSV lines of the rows of ``columns`` (:meth:`RunTrace._columns`),
+    one row of bytes each, with zero bytes to drop."""
+    t, ints, floats, totals, epoch = (columns[0], columns[1:4], columns[4:8], columns[8:12],
+                                      columns[12])
     # one outcome per distinct (group, price index, accepted, bits of the
     # reward and of the three instant metrics)
-    key = np.column_stack([group, price_index, accepted, reward.view(np.int64),
-                           *(metric.view(np.int64) for metric in inst)])
+    key = np.column_stack([*ints, *(c.view(np.int64) for c in floats)])
     _, first, inverse = np.unique(key.view(np.dtype((np.void, key.shape[1] * 8))).ravel(),
                                   return_index=True, return_inverse=True)
-    outcome = _joined(_fields(_int_field, group[first], price_index[first], accepted[first])
-                      + _fields(_g17_field, reward[first], *(metric[first] for metric in inst)))
-    t, epoch = _fields(_int_field, t, shared[3][block])
+    outcome = _joined(_fields(_int_field, *(c[first] for c in ints))
+                      + _fields(_g17_field, *(c[first] for c in floats)))
+    t, epoch = _fields(_int_field, t, epoch)
     return _joined([t, _left_aligned(outcome)[inverse], *_fields(_g17_field, *totals), epoch],
                    b"\r\n")
 
@@ -645,12 +646,10 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
     by an exact %.17g that leaves to CPython every value it cannot certify
     (:func:`_g17_field`).
     """
-    columns = [np.frombuffer(c, c.typecode) for c in trace._rows]
-    blocks = [np.frombuffer(c, c.typecode) for c in trace._blocks]
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
-        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            text = _csv_text(columns, blocks, start, start + _CSV_CHUNK_ROWS)
+        for start in range(0, trace._kept(), _CSV_CHUNK_ROWS):
+            text = _csv_text(trace._columns(start, start + _CSV_CHUNK_ROWS))
             for rows in range(0, len(text), _CSV_WRITE_ROWS):
                 fh.write(text[rows:rows + _CSV_WRITE_ROWS].tobytes().translate(None, b"\0"))
 

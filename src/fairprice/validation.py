@@ -68,7 +68,7 @@ class CheckResult:
 
 
 def _finish(name: str, t0: float, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, passed, detail, time.time() - t0)
+    return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def brute_force_fair_optimal(market: MarketConfig, step: float = 1e-3):
 
 def check_closed_form_golden() -> CheckResult:
     """Exact rational values of the built-in example's fair optimum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     opt = closed_form_example_optimum(0.0)
     expect = {
         "pi1": np.array([20.0, 0.0, 9.0]) / 29.0,
@@ -197,7 +197,7 @@ def check_closed_form_golden() -> CheckResult:
 
 def check_solver_matches_closed_form() -> CheckResult:
     """The exact solver reproduces the family's closed form at several eps."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rev, worst_pol = 0.0, 0.0
     for eps in (0.0, 1e-4, 1e-3, 1e-2):
         ref = closed_form_example_optimum(eps)
@@ -214,7 +214,7 @@ def check_solver_matches_closed_form() -> CheckResult:
 def check_parametrized_surface() -> CheckResult:
     """Policies rebuilt from the (v_s, alpha) systems hit every promised
     identity: strict parity, pinned means, and the closed-form revenue."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(1234)
     done, worst = 0, 0.0
     while done < 50:
@@ -246,7 +246,7 @@ def check_parametrized_surface() -> CheckResult:
 
 def check_brute_force_agreement() -> CheckResult:
     """The solver and the dense simplex enumeration agree on random markets."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(77)
     worst, worst_idx = 0.0, -1
     for idx in range(20):
@@ -282,7 +282,7 @@ def _random_lp(rng: np.random.Generator) -> LinearProgram:
 
 def check_lp_dual_route() -> CheckResult:
     """Simplex and vertex enumeration agree on feasibility and value."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(4242)
     worst, disagreements = 0.0, 0
     for _ in range(500):
@@ -300,7 +300,7 @@ def check_lp_dual_route() -> CheckResult:
 
 def check_procedural_exactness() -> CheckResult:
     """Cumulative proposed-price disparity is zero on every agent run."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     runs = 0
     cases = []
@@ -324,7 +324,7 @@ def check_sublinear_scaling() -> CheckResult:
     """Log-log slopes of mean cumulative regret and unfairness stay under
     0.75 across three decades, and both metrics at the largest horizon beat
     the best fixed price's linearly growing regret."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     market = example1_market()
     opt = solve_fair_optimal(market)
     horizons = (10_000, 100_000, 1_000_000)
@@ -355,7 +355,7 @@ def check_sublinear_scaling() -> CheckResult:
 def check_optimum_retention() -> CheckResult:
     """The true optimum stays in the surviving set at every epoch boundary
     in at least 19 of 20 seeded runs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     market = example1_market()
     opt = solve_fair_optimal(market)
     held = 0
@@ -373,7 +373,7 @@ def check_optimum_retention() -> CheckResult:
 def check_metric_properties() -> CheckResult:
     """Revenue mixes linearly, the accepted-mean gap ignores uniform
     per-group acceptance scaling, and monotone curves discount the mean."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     worst_lin = worst_scale = worst_order = 0.0
     for _ in range(200):
@@ -414,7 +414,7 @@ def check_metric_properties() -> CheckResult:
 
 def check_determinism() -> CheckResult:
     """Identical configuration twice gives byte-identical trace and summary."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     market = example1_market()
     blobs = []
     with tempfile.TemporaryDirectory() as root:
@@ -436,7 +436,7 @@ def check_determinism() -> CheckResult:
 def check_lowerbound_construction() -> CheckResult:
     """The indistinguishable-environment family is flat at j=0 and has a
     unique bump of exactly eps = sqrt(d/T) at the chosen index otherwise."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_flat = 0.0
     bump_ok = True
     detail_bits = []

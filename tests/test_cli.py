@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -22,7 +23,7 @@ from fairprice.cli import (
 )
 from fairprice.linsolve import ROUNDING_TOL
 from fairprice.sim import example1_market, example_eps_market, lowerbound_family_market
-from fairprice.validation import CheckResult
+from fairprice.validation import CheckResult, check_closed_form_golden
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +631,16 @@ def test_validate_reports_every_check(tmp_path, monkeypatch, capsys):
         {"name": "fake-fail", "passed": False, "detail": "expected 1, got 2",
          "elapsed": 1.0},
     ]
+
+
+def test_checks_time_themselves_on_a_monotonic_clock(monkeypatch):
+    """A check's elapsed time is an interval of ``time.perf_counter``, which
+    never steps, not of the wall clock."""
+    readings = iter([10.0, 12.5])
+    monkeypatch.setattr("fairprice.validation.time",
+                        types.SimpleNamespace(perf_counter=lambda: next(readings)))
+    result = check_closed_form_golden()
+    assert result.passed and result.elapsed == 2.5
 
 
 def test_python_dash_m_runs_the_cli():

@@ -5,8 +5,10 @@ cache outlives a call (no module-level dict, list or set but ``__all__``,
 no ``functools`` cache), no random generator or lock is shared (none at
 module level, no ``ctypes``), every tolerance of the algorithm modules
 is a named module-level constant, every agent plays in blocks (only
-``fpa.FpaAgent`` keeps a per-round protocol), and only ``fpa.py`` spells
-the agent's flag strings (everything else reads its epoch records)."""
+``fpa.FpaAgent`` keeps a per-round protocol), only ``fpa.py`` spells
+the agent's flag strings (everything else reads its epoch records), and
+only ``sim.RunTrace``'s own methods read a trace's columns (everything else
+reads rows through ``RunTrace._columns``)."""
 
 from __future__ import annotations
 
@@ -342,3 +344,46 @@ def test_only_the_agent_spells_its_flags():
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
     assert flag_spellings(sources) == []
+
+
+# A trace's column stores, and the one class whose methods read them.
+_TRACE_STORES = ("_rows", "_blocks")
+_STORES_READ_IN = "sim.py:RunTrace"
+
+
+def trace_store_reads(sources: dict[str, str]) -> list[str]:
+    """``name:line`` for each read of a trace's ``_rows`` or ``_blocks``, as
+    an attribute or a string (``getattr``), outside the methods of
+    ``sim.RunTrace``: everything else reads rows through
+    ``RunTrace._columns``."""
+    found = []
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        allowed = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   and f"{Path(name).name}:{cls.name}" == _STORES_READ_IN
+                   for item in cls.body if isinstance(item, ast.FunctionDef)
+                   for node in ast.walk(item)}
+        found += [f"{name}:{line}" for line in sorted(
+            node.lineno for node in ast.walk(tree) if id(node) not in allowed
+            and (isinstance(node, ast.Attribute) and node.attr in _TRACE_STORES
+                 or isinstance(node, ast.Constant) and node.value in _TRACE_STORES))]
+    return found
+
+
+def test_the_check_catches_a_trace_store_read():
+    sources = {"src/fairprice/sim.py": ("class RunTrace:\n    _rows: tuple = ()\n"
+                                        "    def _columns(self, start, stop):\n"
+                                        "        return self._rows, self._blocks\n"
+                                        "class _Records:\n    def __len__(self):\n"
+                                        "        return len(self._trace._rows[0])\n"
+                                        "def write(trace):\n    return trace._blocks\n"),
+               "src/fairprice/cli.py": "class RunTrace:\n    def f(self):\n        self._rows\n",
+               "demos/peek.py": "print(getattr(trace, '_blocks'), trace._columns(0, 1))\n"}
+    assert trace_store_reads(sources) == ["demos/peek.py:1", "src/fairprice/cli.py:3",
+                                          "src/fairprice/sim.py:7", "src/fairprice/sim.py:9"]
+
+
+def test_only_the_trace_reads_its_columns():
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
+    assert trace_store_reads(sources) == []

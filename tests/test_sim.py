@@ -339,6 +339,35 @@ def test_records_view_reads_the_rows_as_appended(adds, start, stop, step):
     assert records[::-1] == want[::-1]
 
 
+# Rows of each block: blocks straddle rows 2,048 and 4,096, where the
+# records view moves from one slice of rows to the next.
+_STRADDLING_BLOCKS = (1, 2039, 20, 0, 2030, 1, 20, 900, 1)
+
+
+def test_records_view_reads_across_slices_of_rows():
+    """Iteration, every index and slices that cross rows 2,048 and 4,096
+    against a list built row by row as the rows were appended."""
+    rng = np.random.default_rng(29)
+    trace, want = RunTrace(horizon=1, seed=0, oracle_revenue=0.5), []
+    for k, n in enumerate(_STRADDLING_BLOCKS):
+        shared = (float(rng.normal()), float(rng.random()), float(rng.random()), 3 * k - 5)
+        rows = [len(want) + 1 + np.arange(n), rng.integers(1, 3, n), rng.integers(0, 6, n),
+                rng.random(n) < 0.5, *rng.normal(size=(5, n))]
+        trace._append_block(rows, *shared)
+        for j in range(n):
+            t, group, price_index, accepted, reward, *totals = (r[j].item() for r in rows)
+            want.append(RoundRecord(t, group, price_index, accepted, reward, *shared[:3],
+                                    *totals, shared[3]))
+    records = trace.records
+    assert len(want) == sum(_STRADDLING_BLOCKS) > 4096 and list(records) == want
+    assert all(tuple(map(type, record)) == _FIELD_TYPES for record in records)
+    assert [records[k] for k in range(-len(want), len(want))] == want + want
+    for rows in (slice(2040, 2060), slice(4090, 4110, 3), slice(None, None, -1),
+                 slice(4100, 2040, -7), slice(2047, 2049), slice(-3000, -1000, 5),
+                 slice(None, None, 1000), slice(4096, 2048), slice(9, None, -3)):
+        assert records[rows] == want[rows]
+
+
 def test_csv_writes_the_header_then_every_field_once_in_its_order(tmp_path):
     """A one-row trace whose 13 fields are 13 distinct texts: the line holds
     each once, in the header's order."""
